@@ -7,29 +7,26 @@
 //!
 //! ```text
 //! cargo run --release -p mech-bench --bin perf_report -- \
-//!     [--quick] [--label <name>] [--out <path>] [--iters <k>] [--threads <t>]
+//!     [--quick] [--label <name>] [--out <path>] [--iters <k>]
 //! cargo run --release -p mech-bench --bin perf_report -- --serve \
 //!     [--quick] [--label <name>] [--serve-out <path>]
 //! cargo run --release -p mech-bench --bin perf_report -- --check [--out <path>] [--serve-out <path>]
-//! cargo run --release -p mech-bench --bin perf_report -- --degraded [--quick] [--threads <t>]
-//! cargo run --release -p mech-bench --bin perf_report -- --verify [--quick] [--threads <t>]
+//! cargo run --release -p mech-bench --bin perf_report -- --degraded [--quick]
+//! cargo run --release -p mech-bench --bin perf_report -- --verify [--quick]
 //! ```
 //!
 //! `--quick` shrinks the device for a CI smoke run; `--label` names the run
 //! record (e.g. `pre-refactor`); `--iters` controls how many timed
 //! repetitions each cell gets (the minimum is reported; since PR 4 both
 //! compilers also get one untimed warmup compile, which matters only for
-//! `--iters 1` — min-of-k already discarded the cold run for k ≥ 2);
-//! `--threads` sets
-//! the MECH compiler's worker-thread count (compiled schedules are
-//! bit-identical at every value — only wall-clock changes). Every record
-//! holds the thread count plus one entry per (family, compiler) with the
-//! schema `{family, compiler, qubits, gates, ms, gates_per_sec}`; MECH
-//! cells additionally carry the claim-engine breakdown
-//! `{claim_searches, claim_skips}`, and the harness asserts the engine's
-//! fast paths engage on the QFT family (nonzero skips, searches below the
-//! component count) — a CI-smoke guard against the one-search engine
-//! silently regressing to per-candidate searches.
+//! `--iters 1` — min-of-k already discarded the cold run for k ≥ 2).
+//! Every record holds one entry per (family, compiler) with the schema
+//! `{family, compiler, qubits, gates, ms, gates_per_sec}` (older records
+//! also carry a `threads` field); MECH cells additionally carry the
+//! claim-engine breakdown `{claim_searches, claim_skips}`, and the harness
+//! asserts the engine's fast paths engage on the QFT family (nonzero
+//! skips, searches below the component count) — a CI-smoke guard against
+//! the one-search engine silently regressing to per-candidate searches.
 //!
 //! `--serve` drives the multi-tenant front end instead: a ladder of
 //! [`CompileService`] pools (1 worker, then 4) over one `Arc`-shared
@@ -85,7 +82,6 @@ struct Args {
     out: String,
     serve_out: String,
     iters: u32,
-    threads: usize,
     check: bool,
     serve: bool,
     degraded: bool,
@@ -99,7 +95,6 @@ fn parse_args() -> Args {
         out: "BENCH_compile.json".to_string(),
         serve_out: "BENCH_serve.json".to_string(),
         iters: 2,
-        threads: CompilerConfig::default().threads,
         check: false,
         serve: false,
         degraded: false,
@@ -123,17 +118,10 @@ fn parse_args() -> Args {
                     .parse()
                     .expect("--iters takes a number")
             }
-            "--threads" => {
-                args.threads = it
-                    .next()
-                    .expect("--threads needs a value")
-                    .parse()
-                    .expect("--threads takes a number")
-            }
             other => {
                 eprintln!(
                     "unknown argument {other}; supported: --quick --check --serve --degraded \
-                     --verify --label <s> --out <path> --serve-out <path> --iters <k> --threads <t>"
+                     --verify --label <s> --out <path> --serve-out <path> --iters <k>"
                 );
                 std::process::exit(2);
             }
@@ -307,19 +295,15 @@ fn main() {
         return;
     }
     let device = device_spec(args.quick).cached();
-    let config = CompilerConfig {
-        threads: args.threads,
-        ..CompilerConfig::default()
-    };
+    let config = CompilerConfig::default();
     let n = device.num_data_qubits();
 
     println!(
-        "perf_report: {} device qubits, {} data qubits, label={:?}, iters={}, threads={}",
+        "perf_report: {} device qubits, {} data qubits, label={:?}, iters={}",
         device.topology().num_qubits(),
         n,
         args.label,
-        args.iters,
-        args.threads
+        args.iters
     );
     println!(
         "{:<12} {:>7} {:>8} {:>12} {:>14} {:>12} {:>14}",
@@ -409,12 +393,7 @@ const SERVE_FAMILIES: [(&str, programs::FamilyGen); 4] = [
 fn run_serve(args: &Args) {
     let device = device_spec(args.quick).cached();
     let n = device.num_data_qubits();
-    // Workers compile with threads=1: under concurrent load the pool *is*
-    // the parallelism (it subsumes the per-compile planner threads).
-    let config = CompilerConfig {
-        threads: 1,
-        ..CompilerConfig::default()
-    };
+    let config = CompilerConfig::default();
     let rounds: usize = if args.quick { 2 } else { 4 };
     let requests = rounds * SERVE_FAMILIES.len();
     let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
@@ -457,7 +436,6 @@ fn run_serve(args: &Args) {
             ServeOptions {
                 workers,
                 queue_capacity: 8,
-                threads_per_worker: 1,
             },
         );
         let wall = Instant::now();
@@ -516,20 +494,16 @@ fn run_degraded(args: &Args) {
     };
     let device = spec.build_artifacts();
     let defects = device.spec().defects();
-    let config = CompilerConfig {
-        threads: args.threads,
-        ..CompilerConfig::default()
-    };
+    let config = CompilerConfig::default();
     let n = device.num_data_qubits();
 
     println!(
         "perf_report --degraded: {} device qubits, {} data qubits surviving, \
-         {} dead qubits, {} dead links, threads={}",
+         {} dead qubits, {} dead links",
         device.topology().num_qubits(),
         n,
         defects.num_dead_qubits(),
-        defects.num_dead_links(),
-        args.threads
+        defects.num_dead_links()
     );
     println!(
         "{:<12} {:>7} {:>8} {:>12} {:>14} {:>8}",
@@ -577,16 +551,12 @@ fn run_degraded(args: &Args) {
 fn run_verify(args: &Args) {
     let device = device_spec(args.quick).cached();
     let n = device.num_data_qubits();
-    let config = mech_bench::verify::recording(CompilerConfig {
-        threads: args.threads,
-        ..CompilerConfig::default()
-    });
+    let config = mech_bench::verify::recording(CompilerConfig::default());
 
     println!(
-        "perf_report --verify: {} device qubits, {} data qubits, threads={}",
+        "perf_report --verify: {} device qubits, {} data qubits",
         device.topology().num_qubits(),
-        n,
-        args.threads
+        n
     );
     println!(
         "{:<14} {:>7} {:>8} {:>8} {:>10} {:>12} {:>12}",
@@ -657,11 +627,10 @@ fn render_record(args: &Args, cells: &[Cell]) -> String {
     let mut s = String::new();
     let _ = write!(
         s,
-        "  {{\"label\": \"{}\", \"mode\": \"{}\", \"iters\": {}, \"threads\": {}, \"results\": [",
+        "  {{\"label\": \"{}\", \"mode\": \"{}\", \"iters\": {}, \"results\": [",
         json_escape(&args.label),
         if args.quick { "quick" } else { "full" },
-        args.iters,
-        args.threads
+        args.iters
     );
     for (i, c) in cells.iter().enumerate() {
         let sep = if i == 0 { "" } else { "," };

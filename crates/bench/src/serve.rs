@@ -16,8 +16,9 @@
 //! `unwrap`/`expect`) and isolates the compiler's failure domains:
 //!
 //! * a panicking compile is caught per request (`catch_unwind`) and comes
-//!   back as [`CompileError::Internal`]; the worker survives, and even a
-//!   panic escaping the request scope only restarts the worker loop;
+//!   back as [`CompileError::Internal`]; the worker survives, and a panic
+//!   outside that scope (in the verification gate) only restarts the
+//!   worker loop;
 //! * per-request deadlines ([`Request::with_deadline`]) bound queue +
 //!   compile time, and a request whose deadline expired while still queued
 //!   is *shed* without compiling;
@@ -32,10 +33,8 @@
 //!   [`CompileError::Miscompiled`] counted in
 //!   [`ServiceStats::miscompiled`] — a wrong schedule is never served.
 //!
-//! Workers compile with `threads = threads_per_worker` (default 1): under
-//! concurrent load the pool itself is the parallelism, subsuming the
-//! per-compile planner threads — the same OS threads do the planning work
-//! for every request.
+//! Each compile runs on its worker's thread: the pool is the service's only
+//! parallelism, one request per worker.
 //!
 //! # Calibration epochs
 //!
@@ -74,8 +73,6 @@ pub struct ServeOptions {
     pub workers: usize,
     /// Queue slots; submitters block while the queue is full.
     pub queue_capacity: usize,
-    /// `CompilerConfig::threads` for each worker's compiles.
-    pub threads_per_worker: usize,
 }
 
 impl Default for ServeOptions {
@@ -83,7 +80,6 @@ impl Default for ServeOptions {
         ServeOptions {
             workers: 4,
             queue_capacity: 16,
-            threads_per_worker: 1,
         }
     }
 }
@@ -130,8 +126,7 @@ impl std::error::Error for ServeError {}
 /// use mech_circuit::Circuit;
 ///
 /// let request = Request::new(Arc::new(Circuit::new(4)))
-///     .with_deadline(Duration::from_secs(5))
-///     .with_retry_internal(true);
+///     .with_deadline(Duration::from_secs(5));
 /// assert!(request.deadline.is_some());
 /// ```
 #[derive(Debug, Clone)]
@@ -144,11 +139,6 @@ pub struct Request {
     /// Cooperative cancellation: cancelling sheds the request if it is
     /// still queued and aborts the compile between rounds otherwise.
     pub cancel: CancelToken,
-    /// Retry the compile once (same worker) if it fails with
-    /// [`CompileError::Internal`] — i.e. after a caught panic. Off by
-    /// default: a deterministic compiler panics deterministically, so the
-    /// retry only helps when the fault was environmental.
-    pub retry_internal: bool,
     /// Semantically verify the compiled schedule before serving it: the
     /// compile records its semantic trace (a side channel — the schedule
     /// stays byte-identical) and the stabilizer verifier replays it under
@@ -161,13 +151,12 @@ pub struct Request {
 }
 
 impl Request {
-    /// A request with no deadline, no cancellation, no retry.
+    /// A request with no deadline, no cancellation, no verification.
     pub fn new(circuit: Arc<Circuit>) -> Self {
         Request {
             circuit,
             deadline: None,
             cancel: CancelToken::new(),
-            retry_internal: false,
             verify: false,
         }
     }
@@ -181,12 +170,6 @@ impl Request {
     /// Attaches a caller-held cancellation token.
     pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
         self.cancel = cancel;
-        self
-    }
-
-    /// Sets the one-shot retry policy for `Internal` failures.
-    pub fn with_retry_internal(mut self, retry: bool) -> Self {
-        self.retry_internal = retry;
         self
     }
 
@@ -214,9 +197,6 @@ pub struct ServeOutcome {
     /// `true` when the request was shed without compiling: its deadline
     /// expired or its token was cancelled while it was still queued.
     pub shed: bool,
-    /// `true` when the compile was retried after an `Internal` failure
-    /// (the result is the retry's).
-    pub retried: bool,
     /// `true` when the semantic verification gate actually ran (the
     /// request opted in, the compile succeeded, and the circuit was
     /// Clifford). A verified `Ok` outcome is a proven-correct schedule.
@@ -290,21 +270,18 @@ pub struct ServiceStats {
     /// never compiled.
     pub shed: u64,
     /// Requests whose compile returned an error (including `Internal`
-    /// after an exhausted retry, and `Miscompiled` from the verification
-    /// gate).
+    /// after a caught panic, and `Miscompiled` from the verification gate).
     pub failed: u64,
     /// Requests whose compiled schedule failed semantic verification
     /// (also counted in `failed`; the tenant sees
     /// [`CompileError::Miscompiled`]).
     pub miscompiled: u64,
-    /// Compiles that panicked and were caught (each retry that panics
-    /// counts again).
+    /// Compiles that panicked and were caught.
     pub panicked: u64,
-    /// One-shot retries attempted after `Internal` failures.
-    pub retried: u64,
     /// Worker loops restarted after a panic escaped the per-request
     /// isolation (0 in healthy operation: the per-request `catch_unwind`
-    /// absorbs compiler panics).
+    /// absorbs compiler panics; only a panic in the verification gate gets
+    /// this far).
     pub worker_restarts: u64,
     /// Calibration epochs installed by [`CompileService::reconfigure`]
     /// (0 until the first swap lands; requests submitted before a swap
@@ -320,7 +297,6 @@ struct Counters {
     failed: AtomicU64,
     miscompiled: AtomicU64,
     panicked: AtomicU64,
-    retried: AtomicU64,
     worker_restarts: AtomicU64,
     epoch: AtomicU64,
 }
@@ -334,7 +310,6 @@ impl Counters {
             failed: self.failed.load(Ordering::SeqCst),
             miscompiled: self.miscompiled.load(Ordering::SeqCst),
             panicked: self.panicked.load(Ordering::SeqCst),
-            retried: self.retried.load(Ordering::SeqCst),
             worker_restarts: self.worker_restarts.load(Ordering::SeqCst),
             epoch: self.epoch.load(Ordering::SeqCst),
         }
@@ -370,8 +345,7 @@ struct Shared {
     not_full: Condvar,
     capacity: usize,
     stats: Counters,
-    /// Per-compile configuration (threads already forced to
-    /// `threads_per_worker`); constant for the service lifetime.
+    /// Per-compile configuration; constant for the service lifetime.
     config: CompilerConfig,
     /// Swapped whole by [`CompileService::reconfigure`]; read (one `Arc`
     /// clone) per submission.
@@ -474,10 +448,6 @@ impl CompileService {
     ) -> Self {
         assert!(options.workers >= 1, "a service needs at least one worker");
         assert!(options.queue_capacity >= 1, "queue capacity must be >= 1");
-        let config = CompilerConfig {
-            threads: options.threads_per_worker.max(1),
-            ..config
-        };
         let shared = Arc::new(Shared {
             queue: Mutex::new(Queue {
                 jobs: VecDeque::with_capacity(options.queue_capacity),
@@ -654,11 +624,12 @@ impl Drop for CompileService {
     }
 }
 
-/// Keeps worker `index` alive for the lifetime of the service: panics that
-/// escape the per-request isolation (they should not — `worker_loop`
-/// catches per compile) abandon the in-flight request (its `reply` sender
-/// drops, so `Ticket::wait` reports [`ServeError::WorkerLost`]) and the
-/// loop restarts on the same OS thread.
+/// Keeps worker `index` alive for the lifetime of the service. Compiles
+/// are isolated per request, but the verification gate runs outside that
+/// `catch_unwind`: a verifier panic escapes to here, abandons the
+/// in-flight request (its `reply` sender drops, so `Ticket::wait` reports
+/// [`ServeError::WorkerLost`]), and the loop restarts on the same OS
+/// thread.
 fn worker_supervisor(index: usize, shared: &Shared) {
     loop {
         if catch_unwind(AssertUnwindSafe(|| worker_loop(index, shared))).is_ok() {
@@ -689,8 +660,8 @@ fn worker_loop(index: usize, shared: &Shared) {
 
 /// Serves one job end to end: shed if its envelope already expired while
 /// queued, otherwise compile — against the device bundle the job captured
-/// at submit — under the request's budget with per-request panic isolation
-/// and the optional one-shot retry.
+/// at submit — under the request's budget with per-request panic isolation,
+/// then run the optional verification gate.
 fn serve_one(index: usize, shared: &Shared, job: Job) {
     let queued_ms = job.submitted.elapsed().as_secs_f64() * 1e3;
     let stats = &shared.stats;
@@ -717,7 +688,6 @@ fn serve_one(index: usize, shared: &Shared, job: Job) {
             total_ms: job.submitted.elapsed().as_secs_f64() * 1e3,
             worker: index,
             shed: true,
-            retried: false,
             verified: false,
             verify_ms: 0.0,
         });
@@ -743,37 +713,27 @@ fn serve_one(index: usize, shared: &Shared, job: Job) {
     // admission failures are decided before any device resolution.
     let resolves_device = job.request.circuit.validate().is_ok()
         && job.request.circuit.num_qubits() <= job.device.num_data_qubits();
-    let compile = |budget: CompileBudget| -> Result<CompileResult, CompileError> {
-        match catch_unwind(AssertUnwindSafe(|| {
-            if resolves_device && fault::trip(FaultSite::DeviceDefect) {
-                // Error mode: compile this one request against a
-                // transiently degraded bundle (one canonical cross link
-                // flipped dead). The epoch's bundle is untouched, so the
-                // very next request compiles pristine again.
-                let degraded = degraded_bundle(&job.device);
-                return MechCompiler::new(degraded, config)
-                    .compile_with_budget(&job.request.circuit, budget);
-            }
-            compiler.compile_with_budget(&job.request.circuit, budget)
-        })) {
-            Ok(result) => result,
-            Err(payload) => {
-                stats.panicked.fetch_add(1, Ordering::SeqCst);
-                Err(CompileError::Internal {
-                    detail: panic_detail(payload.as_ref()),
-                })
-            }
+    let started = Instant::now();
+    let mut result = match catch_unwind(AssertUnwindSafe(|| {
+        if resolves_device && fault::trip(FaultSite::DeviceDefect) {
+            // Error mode: compile this one request against a
+            // transiently degraded bundle (one canonical cross link
+            // flipped dead). The epoch's bundle is untouched, so the
+            // very next request compiles pristine again.
+            let degraded = degraded_bundle(&job.device);
+            return MechCompiler::new(degraded, config)
+                .compile_with_budget(&job.request.circuit, budget);
+        }
+        compiler.compile_with_budget(&job.request.circuit, budget)
+    })) {
+        Ok(result) => result,
+        Err(payload) => {
+            stats.panicked.fetch_add(1, Ordering::SeqCst);
+            Err(CompileError::Internal {
+                detail: panic_detail(payload.as_ref()),
+            })
         }
     };
-
-    let started = Instant::now();
-    let mut retried = false;
-    let mut result = compile(budget.clone());
-    if job.request.retry_internal && matches!(result, Err(CompileError::Internal { .. })) {
-        stats.retried.fetch_add(1, Ordering::SeqCst);
-        retried = true;
-        result = compile(budget);
-    }
     let compile_ms = started.elapsed().as_secs_f64() * 1e3;
 
     // The verification gate: replay the recorded trace on the stabilizer
@@ -813,7 +773,6 @@ fn serve_one(index: usize, shared: &Shared, job: Job) {
         total_ms: job.submitted.elapsed().as_secs_f64() * 1e3,
         worker: index,
         shed: false,
-        retried,
         verified,
         verify_ms,
     });
@@ -863,10 +822,7 @@ mod tests {
     #[test]
     fn served_compiles_match_direct_compiles() {
         let device = DeviceSpec::square(5, 1, 2).build_artifacts();
-        let config = CompilerConfig {
-            threads: 1,
-            ..CompilerConfig::default()
-        };
+        let config = CompilerConfig::default();
         let n = device.num_data_qubits();
         let programs: Vec<Arc<Circuit>> = [
             programs::qft(n.min(16)),
@@ -892,7 +848,6 @@ mod tests {
             ServeOptions {
                 workers: 3,
                 queue_capacity: 2, // force submit-side back-pressure
-                threads_per_worker: 1,
             },
         );
         // Two rounds of every program, interleaved, through 3 workers.
@@ -974,7 +929,6 @@ mod tests {
             ServeOptions {
                 workers: 1,
                 queue_capacity: 1,
-                threads_per_worker: 1,
             },
         );
         let slow = Arc::new(programs::qft(n.min(20)));
@@ -1010,7 +964,6 @@ mod tests {
             ServeOptions {
                 workers: 1,
                 queue_capacity: 4,
-                threads_per_worker: 1,
             },
         );
         let ticket = service.submit(Arc::new(programs::qft(n.min(20)))).unwrap();
@@ -1039,7 +992,6 @@ mod tests {
             ServeOptions {
                 workers: 1,
                 queue_capacity: 4,
-                threads_per_worker: 1,
             },
         );
         let slow = service.submit(Arc::new(programs::qft(n.min(20)))).unwrap();
@@ -1070,10 +1022,7 @@ mod tests {
     fn reconfigure_swaps_epochs_and_drains_old_epoch_tickets() {
         let old_spec = DeviceSpec::square(5, 1, 2);
         let device = old_spec.build_artifacts();
-        let config = CompilerConfig {
-            threads: 1,
-            ..CompilerConfig::default()
-        };
+        let config = CompilerConfig::default();
         let n = device.num_data_qubits();
         let program = Arc::new(programs::qft(n.min(16)));
         let direct_old = MechCompiler::new(Arc::clone(&device), config)
@@ -1086,7 +1035,6 @@ mod tests {
             ServeOptions {
                 workers: 2,
                 queue_capacity: 8,
-                threads_per_worker: 1,
             },
         );
         assert_eq!(service.stats().epoch, 0);
@@ -1140,14 +1088,10 @@ mod tests {
         let spec = DeviceSpec::square(5, 1, 2);
         let service = CompileService::start(
             spec.build_artifacts(),
-            CompilerConfig {
-                threads: 1,
-                ..CompilerConfig::default()
-            },
+            CompilerConfig::default(),
             ServeOptions {
                 workers: 1,
                 queue_capacity: 4,
-                threads_per_worker: 1,
             },
         );
         let pristine = spec.build_artifacts();
@@ -1187,10 +1131,7 @@ mod tests {
     #[test]
     fn verify_gate_proves_clifford_schedules_and_stays_byte_identical() {
         let device = DeviceSpec::square(5, 1, 2).build_artifacts();
-        let config = CompilerConfig {
-            threads: 1,
-            ..CompilerConfig::default()
-        };
+        let config = CompilerConfig::default();
         let n = device.num_data_qubits();
         let service = CompileService::start(
             Arc::clone(&device),
@@ -1198,7 +1139,6 @@ mod tests {
             ServeOptions {
                 workers: 2,
                 queue_capacity: 8,
-                threads_per_worker: 1,
             },
         );
         for program in [
@@ -1259,7 +1199,6 @@ mod tests {
             ServeOptions {
                 workers: 1,
                 queue_capacity: 4,
-                threads_per_worker: 1,
             },
         );
         // Keep the only worker busy long enough for the zero deadline of

@@ -21,13 +21,13 @@
 //!
 //! # Determinism
 //!
-//! Hit counters advance in program order, so with single-threaded
-//! compilation a given `(plan, workload)` pair fires at exactly the same
+//! Hit counters advance in program order, and a compilation runs on one
+//! thread, so a given `(plan, workload)` pair fires at exactly the same
 //! operations run after run. [`FaultPlan::seeded`] derives plans from a
 //! seed via SplitMix64 — chaos suites enumerate seeds, and any failure
-//! reproduces from its seed alone. With planner threads or multiple serve
-//! workers, *which* operation hits the Nth trip may vary; the chaos rails
-//! (no deadlock, no lost ticket, stats reconcile) hold regardless.
+//! reproduces from its seed alone. With several serve workers compiling
+//! concurrently, *which* request hits the Nth trip may vary; the chaos
+//! rails (no deadlock, no lost ticket, stats reconcile) hold regardless.
 
 use std::fmt;
 
@@ -45,10 +45,10 @@ pub enum FaultSite {
     /// GHZ preparation over a claimed corridor. Error mode abandons the
     /// group (claims released, gates stay ready for a later shuttle).
     GhzPrep,
-    /// The regular-phase planner commit (and the forced-progress
+    /// The regular-phase commit of a routed gate (and the forced-progress
     /// fallback). Error mode skips the gate for the round — persistent
     /// injection here is how the stall watchdog is exercised.
-    PlannerCommit,
+    RegularCommit,
     /// The serve layer's per-request device resolution. Error mode
     /// compiles the request against a transiently degraded device — the
     /// spec with one canonical link flipped dead mid-epoch — instead of
@@ -64,7 +64,7 @@ impl FaultSite {
         FaultSite::ClaimEngine,
         FaultSite::LocalRouter,
         FaultSite::GhzPrep,
-        FaultSite::PlannerCommit,
+        FaultSite::RegularCommit,
         FaultSite::DeviceDefect,
     ];
 
@@ -74,7 +74,7 @@ impl FaultSite {
             FaultSite::ClaimEngine => "highway.claim",
             FaultSite::LocalRouter => "router.path",
             FaultSite::GhzPrep => "ghz.prep",
-            FaultSite::PlannerCommit => "planner.commit",
+            FaultSite::RegularCommit => "regular.commit",
             FaultSite::DeviceDefect => "device.defect",
         }
     }
@@ -85,7 +85,7 @@ impl FaultSite {
             FaultSite::ClaimEngine => 0,
             FaultSite::LocalRouter => 1,
             FaultSite::GhzPrep => 2,
-            FaultSite::PlannerCommit => 3,
+            FaultSite::RegularCommit => 3,
             FaultSite::DeviceDefect => 4,
         }
     }
@@ -371,7 +371,7 @@ mod tests {
                 "highway.claim",
                 "router.path",
                 "ghz.prep",
-                "planner.commit",
+                "regular.commit",
                 "device.defect"
             ]
         );

@@ -180,19 +180,6 @@ impl PhysCircuit {
         &self.cost
     }
 
-    /// Empties the circuit (ops, clocks, counts), keeping allocated
-    /// capacity. Used by planners that replay candidate routes into a
-    /// scratch circuit: one reusable instance serves a whole compilation
-    /// without reallocating its op buffer.
-    pub fn reset(&mut self) {
-        self.ops.clear();
-        self.clock.fill(0);
-        self.counts = OpCounts::default();
-        if let Some(t) = &mut self.sem {
-            t.clear();
-        }
-    }
-
     /// The scheduled operations, in emission order.
     pub fn ops(&self) -> &[PhysOp] {
         &self.ops

@@ -148,11 +148,3 @@ pub struct SemTrace {
     pub(crate) events: Vec<SemEvent>,
     pub(crate) num_measures: u32,
 }
-
-impl SemTrace {
-    /// Clears recorded contents, keeping capacity.
-    pub(crate) fn clear(&mut self) {
-        self.events.clear();
-        self.num_measures = 0;
-    }
-}

@@ -22,12 +22,10 @@
 //!    preparation, hub attachment and streamed components (temporal +
 //!    spatial sharing, paper §6);
 //! 3. [regular phase] the remaining ("regular") two-qubit gates execute
-//!    with SWAP routing through the data region. This phase is *shardable*:
-//!    gates whose operands sit in the same chiplet are routed by
-//!    per-chiplet planner workers (`std::thread::scope`) against
-//!    worker-local state, and the plans are merged in fixed chiplet order
-//!    and replayed by a sequential commit — so compiled schedules are
-//!    bit-identical at every thread count (see `DESIGN.md` §8).
+//!    in gate order with SWAP routing through the data region.
+//!
+//! A session is single-threaded; concurrency lives one level up, in many
+//! sessions sharing one device bundle (see `DESIGN.md` §8).
 //!
 //! When a round makes no further progress the open shuttle closes: the
 //! highway is measured out, corrections feed forward to the hubs, and the
@@ -38,16 +36,16 @@ use std::collections::HashSet;
 use std::sync::Arc;
 
 use mech_chiplet::fault::{self, FaultSite};
-use mech_chiplet::{ChipletId, PhysCircuit, PhysQubit, QubitSet, SemGate1, SemGate2, StampSet};
+use mech_chiplet::{PhysCircuit, PhysQubit, QubitSet, SemGate1, SemGate2, StampSet};
 use mech_circuit::{
     AggregateOptions, Circuit, CommutationDag, DagSchedule, Gate, GateId, GroupKind,
     MultiTargetGate, OneQubitGate, Qubit, TwoQubitKind,
 };
 use mech_highway::{
-    prepare_ghz_chain, prepare_ghz_with, ActiveGroup, EntranceOption, GhzScratch, PinnedView,
-    ShuttleState, ShuttleStats,
+    prepare_ghz_chain, prepare_ghz_with, ActiveGroup, EntranceOption, GhzScratch, ShuttleState,
+    ShuttleStats,
 };
-use mech_router::{LocalRouter, Mapping, RoutePlan};
+use mech_router::{LocalRouter, Mapping};
 
 use crate::config::{BudgetExceeded, CompileBudget, CompilerConfig};
 use crate::device::DeviceArtifacts;
@@ -65,10 +63,6 @@ pub struct CompileResult {
     pub shuttle_trace: Vec<mech_highway::ShuttleRecord>,
     /// Two-qubit gates executed off-highway.
     pub regular_gates: u64,
-    /// Routes speculatively planned by parallel workers (diagnostic:
-    /// always 0 with `threads == 1`; planning never changes the compiled
-    /// schedule, only where the pathfinding work ran).
-    pub planned_routes: u64,
     /// Full highway-claim searches run by the one-search claim engine
     /// (diagnostic: the engine settles one Dijkstra per owner-state change
     /// instead of one per candidate entrance, so this stays well below the
@@ -228,18 +222,6 @@ pub struct CompileSession<'a> {
     entrance_set: StampSet,
     /// GHZ-preparation workspace, reused across groups.
     ghz_scratch: GhzScratch,
-    /// Per-chiplet planner workers for the regular phase (empty when
-    /// `threads` is 1).
-    planners: Vec<PlannerSlot<'a>>,
-    /// plans[i] = speculative route plan for `regular[i]`, if a worker
-    /// planned it this round.
-    plans: Vec<Option<RoutePlan>>,
-    /// Recycled plan objects.
-    plan_pool: Vec<RoutePlan>,
-    /// Partition scratch: chiplet → planner worker for the current round.
-    chiplet_slot: Vec<Option<usize>>,
-    /// Total routes planned by workers over the session (diagnostic).
-    planned_routes: u64,
     /// Deadline, round cap and cancellation (default: unlimited).
     budget: CompileBudget,
     /// Completed scheduling rounds (the budget's deterministic time unit).
@@ -247,56 +229,6 @@ pub struct CompileSession<'a> {
     /// Consecutive rounds with zero schedule progress (watchdog state).
     stall_rounds: u32,
 }
-
-/// One regular-phase planner worker: routes the gates of its assigned
-/// chiplets against private state, so workers run concurrently and the
-/// sequential commit only replays recorded paths.
-struct PlannerSlot<'a> {
-    router: LocalRouter<'a>,
-    /// Worker-local mapping, re-synced from the session mapping each round.
-    mapping: Mapping,
-    /// Discard circuit absorbing planned op emissions (never inspected).
-    ghost: PhysCircuit,
-    /// Work items: `(index into regular, gate)` in commit order.
-    work: Vec<(usize, GateId)>,
-    /// Produced plans, same indexing as `work`.
-    out: Vec<(usize, RoutePlan)>,
-    /// Recycled plan objects owned by this worker.
-    pool: Vec<RoutePlan>,
-}
-
-impl PlannerSlot<'_> {
-    /// Plans every work item against the worker-local mapping, mirroring
-    /// the commit's skip rule for pinned operands.
-    fn run(&mut self, circuit: &Circuit, pinned: PinnedView<'_>) {
-        for &(idx, id) in &self.work {
-            let Gate::Two { a, b, .. } = circuit.gates()[id.index()] else {
-                continue;
-            };
-            if pinned.contains_qubit(self.mapping.phys(a))
-                || pinned.contains_qubit(self.mapping.phys(b))
-            {
-                continue;
-            }
-            let mut plan = self.pool.pop().unwrap_or_default();
-            // Failed routes keep their recorded prefix: the commit replays
-            // them to the identical failure.
-            let _ = self.router.plan_two_qubit(
-                &mut self.ghost,
-                &mut self.mapping,
-                a,
-                b,
-                &pinned,
-                &mut plan,
-            );
-            self.out.push((idx, plan));
-        }
-    }
-}
-
-/// Minimum same-chiplet routing work in a round before planner threads
-/// spawn; below this the spawn overhead outweighs the searches saved.
-const PLAN_MIN_GATES: usize = 16;
 
 /// The semantic identity of a program one-qubit gate.
 fn sem_of_one(g: OneQubitGate) -> SemGate1 {
@@ -335,8 +267,7 @@ pub const STALL_ROUND_LIMIT: u32 = 16;
 impl<'a> CompileSession<'a> {
     /// Creates the per-request state for compiling `circuit` against
     /// `device`: trivial mapping, empty shuttle (occupancy pre-seeded from
-    /// the device's shared claim skeleton), scratch pools, and planner
-    /// workers when `config.threads > 1`.
+    /// the device's shared claim skeleton) and scratch pools.
     ///
     /// # Errors
     ///
@@ -363,23 +294,6 @@ impl<'a> CompileSession<'a> {
         let mapping = Mapping::trivial(circuit.num_qubits(), &data);
         let mut sched = dag.schedule();
         sched.attach_aggregation(circuit);
-        // One planner worker per thread beyond the serial baseline; they
-        // live for the whole session so per-round planning reuses their
-        // routers, mappings and ghost circuits without allocating.
-        let planners: Vec<PlannerSlot<'a>> = if config.threads > 1 {
-            (0..config.threads)
-                .map(|_| PlannerSlot {
-                    router: LocalRouter::new(topo, layout),
-                    mapping: mapping.clone(),
-                    ghost: PhysCircuit::new(topo.num_qubits(), config.cost),
-                    work: Vec::new(),
-                    out: Vec::new(),
-                    pool: Vec::new(),
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
         let mut pc = PhysCircuit::new(topo.num_qubits(), config.cost);
         if config.record_sem_trace {
             pc.enable_sem_recording();
@@ -403,11 +317,6 @@ impl<'a> CompileSession<'a> {
             ranked: Vec::new(),
             entrance_set: StampSet::default(),
             ghz_scratch: GhzScratch::default(),
-            planners,
-            plans: Vec::new(),
-            plan_pool: Vec::new(),
-            chiplet_slot: vec![None; topo.num_chiplets() as usize],
-            planned_routes: 0,
             budget: CompileBudget::unlimited(),
             rounds: 0,
             stall_rounds: 0,
@@ -415,16 +324,11 @@ impl<'a> CompileSession<'a> {
     }
 
     /// Installs a compile budget. The cancellation token is shared down to
-    /// the routing kernels (router, claim engine, planner workers) so a
-    /// cancel aborts even mid-search; the deadline and round cap are
-    /// checked between rounds.
+    /// the routing kernels (router, claim engine) so a cancel aborts even
+    /// mid-search; the deadline and round cap are checked between rounds.
     pub fn set_budget(&mut self, budget: CompileBudget) {
-        let cancel = budget.cancel.clone();
-        self.router.set_cancel(cancel.clone());
-        self.shuttle.occupancy.set_cancel(cancel.clone());
-        for slot in &mut self.planners {
-            slot.router.set_cancel(cancel.clone());
-        }
+        self.router.set_cancel(budget.cancel.clone());
+        self.shuttle.occupancy.set_cancel(budget.cancel.clone());
         self.budget = budget;
     }
 
@@ -538,7 +442,6 @@ impl<'a> CompileSession<'a> {
             shuttle_stats: self.shuttle.stats(),
             shuttle_trace: self.shuttle.trace().to_vec(),
             regular_gates: self.regular_gates,
-            planned_routes: self.planned_routes,
             claim_searches: self.shuttle.occupancy.claim_searches(),
             claim_skips: self.shuttle.occupancy.claim_skips(),
             highway_percentage: device.layout().percentage(),
@@ -622,21 +525,15 @@ impl<'a> CompileSession<'a> {
         progressed
     }
 
-    /// Regular phase: the round's off-highway two-qubit gates. The
-    /// shardable part — gates whose operands sit in the same chiplet — is
-    /// planned by per-chiplet workers when `threads > 1`; the commit then
-    /// replays the plans sequentially in gate order, falling back to live
-    /// searches wherever a plan went stale. The pinned set — hubs of open
-    /// groups and highway qubits holding live GHZ states — is a zero-cost
-    /// view over incrementally maintained shuttle state, constant for the
-    /// whole phase.
+    /// Regular phase: the round's off-highway two-qubit gates, routed and
+    /// committed in gate order. The pinned set — hubs of open groups and
+    /// highway qubits holding live GHZ states — is a zero-cost view over
+    /// incrementally maintained shuttle state, constant for the whole
+    /// phase.
     fn phase_regular(&mut self) -> Result<bool, CompileError> {
         let mut progressed = false;
-        self.plan_regular();
-
         let pinned = self.shuttle.pinned_view();
-        for i in 0..self.regular.len() {
-            let id = self.regular[i];
+        for &id in &self.regular {
             let Gate::Two { kind, a, b, .. } = self.circuit.gates()[id.index()] else {
                 continue;
             };
@@ -646,34 +543,17 @@ impl<'a> CompileSession<'a> {
             {
                 continue;
             }
-            if fault::trip(FaultSite::PlannerCommit) {
+            if fault::trip(FaultSite::RegularCommit) {
                 continue; // injected commit failure: the gate stays ready
             }
-            let sem = sem_of_two(kind);
-            let result = match self.plans.get_mut(i).and_then(Option::take) {
-                Some(plan) => {
-                    let r = self.router.execute_two_qubit_planned(
-                        &mut self.pc,
-                        &mut self.mapping,
-                        a,
-                        b,
-                        &pinned,
-                        &plan,
-                        sem,
-                    );
-                    self.plan_pool.push(plan);
-                    r
-                }
-                None => self.router.execute_two_qubit(
-                    &mut self.pc,
-                    &mut self.mapping,
-                    a,
-                    b,
-                    &pinned,
-                    sem,
-                ),
-            };
-            match result {
+            match self.router.execute_two_qubit(
+                &mut self.pc,
+                &mut self.mapping,
+                a,
+                b,
+                &pinned,
+                sem_of_two(kind),
+            ) {
                 Ok(()) => {
                     self.sched.complete(id);
                     self.regular_gates += 1;
@@ -685,107 +565,7 @@ impl<'a> CompileSession<'a> {
                 Err(e) => return Err(e.into()),
             }
         }
-        // Plans for gates the commit skipped (pinned operands) recycle too.
-        for plan in self.plans.iter_mut().filter_map(Option::take) {
-            self.plan_pool.push(plan);
-        }
         Ok(progressed)
-    }
-
-    /// Shard/plan step of the regular phase. Partitions `self.regular` by
-    /// the chiplet of the operands' current positions; rounds with enough
-    /// same-chiplet gates across ≥ 2 chiplets fan the pathfinding out over
-    /// scoped worker threads (chiplets assigned round-robin, results merged
-    /// in fixed worker order). Cross-chiplet gates are left unplanned — the
-    /// commit routes them live.
-    ///
-    /// Planning never changes compiled output: a plan only replays while
-    /// its recorded endpoints match the live mapping, and pathfinding is a
-    /// pure function of those endpoints and the phase-constant pinned set.
-    fn plan_regular(&mut self) {
-        self.plans.clear();
-        if self.config.threads < 2 || self.regular.len() < PLAN_MIN_GATES {
-            return;
-        }
-
-        let device = self.device;
-        let CompileSession {
-            planners,
-            regular,
-            mapping,
-            circuit,
-            shuttle,
-            plans,
-            plan_pool,
-            chiplet_slot,
-            planned_routes,
-            ..
-        } = self;
-        let topo = device.topology();
-        for slot in planners.iter_mut() {
-            slot.work.clear();
-        }
-
-        // Partition by chiplet, keeping commit order within each chiplet.
-        // `chiplet_slot[c]` lazily assigns chiplet `c` to a worker,
-        // round-robin in order of first appearance.
-        chiplet_slot.fill(None);
-        let mut next_slot = 0usize;
-        let mut shardable = 0usize;
-        let mut active_chiplets = 0usize;
-        for (i, &id) in regular.iter().enumerate() {
-            let Gate::Two { a, b, .. } = circuit.gates()[id.index()] else {
-                continue;
-            };
-            let (ca, cb) = (topo.chiplet(mapping.phys(a)), topo.chiplet(mapping.phys(b)));
-            if ca != cb {
-                continue;
-            }
-            let ChipletId(c) = ca;
-            let slot = *chiplet_slot[c as usize].get_or_insert_with(|| {
-                active_chiplets += 1;
-                let w = next_slot;
-                next_slot = (next_slot + 1) % planners.len();
-                w
-            });
-            planners[slot].work.push((i, id));
-            shardable += 1;
-        }
-        if shardable < PLAN_MIN_GATES || active_chiplets < 2 {
-            return;
-        }
-
-        plans.resize_with(regular.len(), || None);
-        let pinned = shuttle.pinned_view();
-        std::thread::scope(|scope| {
-            for slot in planners.iter_mut() {
-                if slot.work.is_empty() {
-                    continue;
-                }
-                slot.mapping.clone_from(mapping);
-                slot.ghost.reset();
-                let circuit = *circuit;
-                scope.spawn(move || slot.run(circuit, pinned));
-            }
-        });
-
-        // Merge in fixed worker order; work sets are disjoint by
-        // construction, so the merge is order-insensitive — the fixed order
-        // just keeps the procedure visibly deterministic.
-        for slot in planners.iter_mut() {
-            for (idx, plan) in slot.out.drain(..) {
-                debug_assert!(plans[idx].is_none());
-                plans[idx] = Some(plan);
-                *planned_routes += 1;
-            }
-            // Top the worker's pool back up from the session pool.
-            while slot.pool.len() < slot.work.len() {
-                match plan_pool.pop() {
-                    Some(p) => slot.pool.push(p),
-                    None => break,
-                }
-            }
-        }
     }
 
     /// Guaranteed-progress fallback: executes the first ready two-qubit
@@ -809,7 +589,7 @@ impl<'a> CompileSession<'a> {
                 rounds: self.rounds,
             });
         };
-        if fault::trip(FaultSite::PlannerCommit) {
+        if fault::trip(FaultSite::RegularCommit) {
             return Ok(false); // injected commit failure: the gate stays ready
         }
         let Gate::Two { kind, a, b, .. } = self.circuit.gates()[id.index()] else {
@@ -1175,46 +955,6 @@ mod tests {
             .run()
             .unwrap();
         assert_eq!(via_compile.circuit.ops(), again.circuit.ops());
-    }
-
-    #[test]
-    fn threaded_compile_is_bit_identical_to_serial() {
-        // A routing-heavy workload: with aggregation effectively disabled
-        // (huge min_components) every two-qubit gate goes through the
-        // regular phase, and the same-chiplet shards are big enough for
-        // the planner threads to actually spawn (PLAN_MIN_GATES, ≥ 2
-        // chiplets). Schedules must come out op-for-op identical at every
-        // thread count, including the emission order.
-        let dev = device(6, 2, 2);
-        let n = dev.num_data_qubits();
-        let prog = random_circuit(n, 1200, 77);
-        let compile = |threads: usize| {
-            let config = CompilerConfig {
-                threads,
-                min_components: 64,
-                ..CompilerConfig::default()
-            };
-            MechCompiler::new(Arc::clone(&dev), config)
-                .compile(&prog)
-                .unwrap()
-        };
-        let serial = compile(1);
-        assert_eq!(serial.planned_routes, 0, "serial compiles never plan");
-        for threads in [2, 8] {
-            let threaded = compile(threads);
-            assert!(
-                threaded.planned_routes > 0,
-                "workload must actually exercise the planner threads at threads={threads}"
-            );
-            assert_eq!(
-                serial.circuit.ops(),
-                threaded.circuit.ops(),
-                "op stream diverged at threads={threads}"
-            );
-            assert_eq!(serial.circuit.depth(), threaded.circuit.depth());
-            assert_eq!(serial.regular_gates, threaded.regular_gates);
-            assert_eq!(serial.shuttle_trace, threaded.shuttle_trace);
-        }
     }
 
     #[test]

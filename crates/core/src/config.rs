@@ -42,16 +42,6 @@ pub struct CompilerConfig {
     pub min_components: usize,
     /// GHZ preparation scheme (measurement-based vs. naive chain).
     pub ghz_style: GhzStyle,
-    /// Worker threads for the shardable compilation phases (currently the
-    /// per-chiplet planning of regular-gate routes). `1` compiles fully
-    /// serially; higher values let rounds with enough same-chiplet routing
-    /// work fan out over `std::thread::scope` workers. Compiled schedules
-    /// are **bit-identical at every thread count** — threads only move
-    /// pathfinding work off the sequential commit path.
-    ///
-    /// Defaults to the `MECH_THREADS` environment variable when set (and
-    /// ≥ 1), else 1.
-    pub threads: usize,
     /// Record a semantic event trace alongside the compiled schedule, for
     /// stabilizer verification (`mech_sim::SchedVerifier`). Recording is a
     /// side channel: the emitted ops, clocks and counts are **byte-identical**
@@ -164,23 +154,12 @@ impl CompileBudget {
     }
 }
 
-/// The `MECH_THREADS` environment override for [`CompilerConfig::threads`]
-/// (ignored unless it parses to ≥ 1).
-fn threads_from_env() -> usize {
-    std::env::var("MECH_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&t| t >= 1)
-        .unwrap_or(1)
-}
-
 impl Default for CompilerConfig {
     fn default() -> Self {
         CompilerConfig {
             cost: CostModel::default(),
             min_components: 3,
             ghz_style: GhzStyle::default(),
-            threads: threads_from_env(),
             record_sem_trace: false,
             sabre: SabreConfig::default(),
         }
@@ -195,7 +174,6 @@ mod tests {
     fn defaults_are_sane() {
         let c = CompilerConfig::default();
         assert!(c.min_components >= 2);
-        assert!(c.threads >= 1);
         assert_eq!(c.cost, CostModel::default());
     }
 

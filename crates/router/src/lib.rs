@@ -16,6 +16,6 @@ mod local;
 mod mapping;
 mod sabre;
 
-pub use local::{LocalRouter, RoutePlan, RoutingError};
+pub use local::{LocalRouter, RoutingError};
 pub use mapping::Mapping;
 pub use sabre::{sabre_route, SabreConfig};

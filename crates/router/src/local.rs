@@ -52,76 +52,6 @@ impl fmt::Display for RoutingError {
 
 impl std::error::Error for RoutingError {}
 
-/// One recorded pathfinding decision inside a planned gate execution.
-#[derive(Debug, Clone, Default)]
-struct PlanSegment {
-    from: PhysQubit,
-    to: PhysQubit,
-    path: Vec<PhysQubit>,
-}
-
-/// A speculative routing plan for one regular two-qubit gate: the sequence
-/// of shortest-path searches its execution performs, with their results.
-///
-/// Plans are computed by [`LocalRouter::plan_two_qubit`] against a
-/// worker-local mapping (typically in a worker thread, one per chiplet
-/// shard) and consumed by [`LocalRouter::execute_two_qubit_planned`] on the
-/// session state. Replay validates every segment against the live mapping:
-/// while the positions match, the recorded path substitutes for the search
-/// (pathfinding is a pure function of the endpoints and the round-constant
-/// pinned set, so the substitution cannot change the schedule); at the
-/// first mismatch the remainder of the plan is discarded and execution
-/// falls back to live searches. Compiled output is therefore bit-identical
-/// whether a gate was planned or not — plans only move search work off the
-/// commit path.
-#[derive(Debug, Clone, Default)]
-pub struct RoutePlan {
-    segments: Vec<PlanSegment>,
-    /// Segment slots recycled across rounds (cleared, capacity kept).
-    spare: Vec<PlanSegment>,
-}
-
-impl RoutePlan {
-    /// Drops all recorded segments, keeping their buffers for reuse.
-    pub fn clear(&mut self) {
-        for mut seg in self.segments.drain(..) {
-            seg.path.clear();
-            self.spare.push(seg);
-        }
-    }
-
-    /// `true` when no segment is recorded.
-    pub fn is_empty(&self) -> bool {
-        self.segments.is_empty()
-    }
-
-    fn record(&mut self, from: PhysQubit, to: PhysQubit, path: &[PhysQubit]) {
-        let mut seg = self.spare.pop().unwrap_or_default();
-        seg.from = from;
-        seg.to = to;
-        seg.path.clear();
-        seg.path.extend_from_slice(path);
-        self.segments.push(seg);
-    }
-}
-
-/// How one `find_path` call inside the gate-execution control flow
-/// interacts with a [`RoutePlan`].
-enum PlanCursor<'p> {
-    /// No plan involved: always search.
-    Live,
-    /// Record every search result into the plan.
-    Record(&'p mut RoutePlan),
-    /// Consume recorded segments while they match the live endpoints; on
-    /// the first mismatch (`diverged`), search live for the rest of the
-    /// gate.
-    Replay {
-        plan: &'p RoutePlan,
-        next: usize,
-        diverged: bool,
-    },
-}
-
 /// SWAP-based router over the data region.
 ///
 /// Owns its search workspace, so routing methods take `&mut self`; create
@@ -226,47 +156,6 @@ impl<'a> LocalRouter<'a> {
         Ok(())
     }
 
-    /// [`LocalRouter::find_path`] through a [`PlanCursor`]: records the
-    /// result when planning, or substitutes the recorded path when
-    /// replaying a still-valid plan (skipping the search entirely).
-    fn find_path_cursor<S: QubitSet>(
-        &mut self,
-        from: PhysQubit,
-        to: PhysQubit,
-        pinned: &S,
-        cursor: &mut PlanCursor<'_>,
-    ) -> Result<(), RoutingError> {
-        match cursor {
-            PlanCursor::Live => self.find_path(from, to, pinned),
-            PlanCursor::Record(plan) => {
-                self.find_path(from, to, pinned)?;
-                plan.record(from, to, &self.scratch.path);
-                Ok(())
-            }
-            PlanCursor::Replay {
-                plan,
-                next,
-                diverged,
-            } => {
-                if !*diverged {
-                    if let Some(seg) = plan.segments.get(*next) {
-                        if seg.from == from && seg.to == to {
-                            *next += 1;
-                            self.scratch.path.clear();
-                            self.scratch.path.extend_from_slice(&seg.path);
-                            return Ok(());
-                        }
-                    }
-                    // The live mapping no longer matches the planned one
-                    // (another gate moved an operand since planning): the
-                    // rest of the plan describes a different world.
-                    *diverged = true;
-                }
-                self.find_path(from, to, pinned)
-            }
-        }
-    }
-
     /// The SWAP cost from `from` to `to` (1 per data hop, 2 per highway
     /// qubit crossed).
     ///
@@ -352,85 +241,6 @@ impl<'a> LocalRouter<'a> {
         pinned: &S,
         sem: SemGate2,
     ) -> Result<(), RoutingError> {
-        self.execute_two_qubit_cursor(pc, mapping, a, b, pinned, &mut PlanCursor::Live, sem)
-    }
-
-    /// [`LocalRouter::execute_two_qubit`] replaying a plan computed by
-    /// [`LocalRouter::plan_two_qubit`]: recorded paths substitute for the
-    /// searches while the plan matches the live mapping. Output is
-    /// bit-identical to the unplanned execution.
-    ///
-    /// # Errors
-    ///
-    /// [`RoutingError::Disconnected`] if no route exists.
-    #[allow(clippy::too_many_arguments)]
-    pub fn execute_two_qubit_planned<S: QubitSet>(
-        &mut self,
-        pc: &mut PhysCircuit,
-        mapping: &mut Mapping,
-        a: mech_circuit::Qubit,
-        b: mech_circuit::Qubit,
-        pinned: &S,
-        plan: &RoutePlan,
-        sem: SemGate2,
-    ) -> Result<(), RoutingError> {
-        let mut cursor = PlanCursor::Replay {
-            plan,
-            next: 0,
-            diverged: false,
-        };
-        self.execute_two_qubit_cursor(pc, mapping, a, b, pinned, &mut cursor, sem)
-    }
-
-    /// Speculatively routes the gate against a worker-local `mapping` and
-    /// `ghost` circuit, recording every pathfinding result into `plan` for
-    /// later replay by [`LocalRouter::execute_two_qubit_planned`]. The real
-    /// session state is untouched; `mapping` evolves exactly as the commit
-    /// will evolve the live mapping (so later plans in the same shard see
-    /// the right positions), and `ghost` absorbs the op emissions (reset it
-    /// once per round, its contents are discarded).
-    ///
-    /// # Errors
-    ///
-    /// [`RoutingError::Disconnected`] if no route exists; the recorded
-    /// prefix stays valid for replay either way.
-    pub fn plan_two_qubit<S: QubitSet>(
-        &mut self,
-        ghost: &mut PhysCircuit,
-        mapping: &mut Mapping,
-        a: mech_circuit::Qubit,
-        b: mech_circuit::Qubit,
-        pinned: &S,
-        plan: &mut RoutePlan,
-    ) -> Result<(), RoutingError> {
-        plan.clear();
-        // The ghost circuit never records a trace, so the sem kind is moot.
-        self.execute_two_qubit_cursor(
-            ghost,
-            mapping,
-            a,
-            b,
-            pinned,
-            &mut PlanCursor::Record(plan),
-            SemGate2::NonClifford,
-        )
-    }
-
-    /// The shared control flow behind execute/plan/replay. Every branch
-    /// decision below is a pure function of the found path, the layout and
-    /// the current mapping — which is why recording the `find_path` results
-    /// alone is enough to replay the whole execution.
-    #[allow(clippy::too_many_arguments)]
-    fn execute_two_qubit_cursor<S: QubitSet>(
-        &mut self,
-        pc: &mut PhysCircuit,
-        mapping: &mut Mapping,
-        a: mech_circuit::Qubit,
-        b: mech_circuit::Qubit,
-        pinned: &S,
-        cursor: &mut PlanCursor<'_>,
-        sem: SemGate2,
-    ) -> Result<(), RoutingError> {
         for _attempt in 0..4 {
             let pa = mapping.phys(a);
             let pb = mapping.phys(b);
@@ -439,7 +249,7 @@ impl<'a> LocalRouter<'a> {
                 pc.two_qubit(self.topo, pa, pb);
                 return Ok(());
             }
-            self.find_path_cursor(pa, pb, pinned, cursor)?;
+            self.find_path(pa, pb, pinned)?;
             // Locate the highway run (if any) immediately before `b`'s
             // position: the traveler must stop on the last data node.
             let mut stop = self.scratch.path.len() - 1; // index of pb
@@ -487,7 +297,7 @@ impl<'a> LocalRouter<'a> {
                     };
                     match dest {
                         Some(dest) => {
-                            self.find_path_cursor(mapping.phys(b), dest, pinned, cursor)?;
+                            self.find_path(mapping.phys(b), dest, pinned)?;
                             self.emit_path(pc, mapping, &self.scratch.path);
                             debug_assert_eq!(mapping.phys(b), dest);
                         }
@@ -713,128 +523,5 @@ mod tests {
         let mut r = LocalRouter::new(&topo, &hw);
         let q = hw.data_qubits()[0];
         assert_eq!(r.data_distance(q, q, &HashSet::new()), Ok(0));
-    }
-
-    #[test]
-    fn planned_replay_is_bit_identical_to_direct_execution() {
-        let (topo, hw) = setup();
-        let data = hw.data_qubits();
-        let n = data.len() as u32;
-        let empty = HashSet::new();
-        // Route a batch of scattered gates twice: once directly, once via
-        // plan + replay against an initially identical mapping.
-        let pairs: Vec<(Qubit, Qubit)> = (0..6).map(|i| (Qubit(i), Qubit(n - 1 - i))).collect();
-
-        let mut direct_pc = PhysCircuit::new(topo.num_qubits(), CostModel::default());
-        let mut direct_map = Mapping::trivial(n, &data);
-        let mut direct_router = LocalRouter::new(&topo, &hw);
-        for &(a, b) in &pairs {
-            direct_router
-                .execute_two_qubit(
-                    &mut direct_pc,
-                    &mut direct_map,
-                    a,
-                    b,
-                    &empty,
-                    SemGate2::Cnot,
-                )
-                .unwrap();
-        }
-
-        let mut planner_map = Mapping::trivial(n, &data);
-        let mut ghost = PhysCircuit::new(topo.num_qubits(), CostModel::default());
-        let mut planner = LocalRouter::new(&topo, &hw);
-        let mut plans: Vec<RoutePlan> = Vec::new();
-        for &(a, b) in &pairs {
-            let mut plan = RoutePlan::default();
-            planner
-                .plan_two_qubit(&mut ghost, &mut planner_map, a, b, &empty, &mut plan)
-                .unwrap();
-            assert!(!plan.is_empty(), "distant pair needs at least one path");
-            plans.push(plan);
-        }
-
-        let mut replay_pc = PhysCircuit::new(topo.num_qubits(), CostModel::default());
-        let mut replay_map = Mapping::trivial(n, &data);
-        let mut replay_router = LocalRouter::new(&topo, &hw);
-        for (&(a, b), plan) in pairs.iter().zip(&plans) {
-            replay_router
-                .execute_two_qubit_planned(
-                    &mut replay_pc,
-                    &mut replay_map,
-                    a,
-                    b,
-                    &empty,
-                    plan,
-                    SemGate2::Cnot,
-                )
-                .unwrap();
-        }
-
-        assert_eq!(direct_pc.ops(), replay_pc.ops());
-        assert_eq!(direct_map, replay_map);
-        // The planner's mapping evolved exactly like the committed one.
-        assert_eq!(planner_map, replay_map);
-    }
-
-    #[test]
-    fn stale_plan_falls_back_to_live_search() {
-        let (topo, hw) = setup();
-        let data = hw.data_qubits();
-        let n = data.len() as u32;
-        let empty = HashSet::new();
-        let far = Qubit(n - 1);
-
-        // Plan a route for (0, far) from the initial mapping...
-        let mut planner_map = Mapping::trivial(n, &data);
-        let mut ghost = PhysCircuit::new(topo.num_qubits(), CostModel::default());
-        let mut router = LocalRouter::new(&topo, &hw);
-        let mut plan = RoutePlan::default();
-        router
-            .plan_two_qubit(
-                &mut ghost,
-                &mut planner_map,
-                Qubit(0),
-                far,
-                &empty,
-                &mut plan,
-            )
-            .unwrap();
-
-        // ...then invalidate it by moving qubit 0 before the replay.
-        let mut pc = PhysCircuit::new(topo.num_qubits(), CostModel::default());
-        let mut mapping = Mapping::trivial(n, &data);
-        router
-            .route_to(&mut pc, &mut mapping, Qubit(0), data[7], &empty)
-            .unwrap();
-        let moved_at = pc.ops().len();
-
-        let mut expected_pc = pc.clone();
-        let mut expected_map = mapping.clone();
-        let mut oracle = LocalRouter::new(&topo, &hw);
-        oracle
-            .execute_two_qubit(
-                &mut expected_pc,
-                &mut expected_map,
-                Qubit(0),
-                far,
-                &empty,
-                SemGate2::Cnot,
-            )
-            .unwrap();
-
-        router
-            .execute_two_qubit_planned(
-                &mut pc,
-                &mut mapping,
-                Qubit(0),
-                far,
-                &empty,
-                &plan,
-                SemGate2::Cnot,
-            )
-            .unwrap();
-        assert_eq!(pc.ops()[moved_at..], expected_pc.ops()[moved_at..]);
-        assert_eq!(mapping, expected_map);
     }
 }

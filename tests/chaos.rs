@@ -62,14 +62,10 @@ fn workload(device: &mech::DeviceArtifacts) -> Circuit {
 fn single_worker(device: Arc<mech::DeviceArtifacts>) -> CompileService {
     CompileService::start(
         device,
-        CompilerConfig {
-            threads: 1,
-            ..CompilerConfig::default()
-        },
+        CompilerConfig::default(),
         ServeOptions {
             workers: 1,
             queue_capacity: 8,
-            threads_per_worker: 1,
         },
     )
 }
@@ -85,15 +81,9 @@ fn error_injection_at_every_site_degrades_structurally() {
     let _serial = chaos_lock();
     let device = device();
     let program = workload(&device);
-    let direct = MechCompiler::new(
-        Arc::clone(&device),
-        CompilerConfig {
-            threads: 1,
-            ..CompilerConfig::default()
-        },
-    )
-    .compile(&program)
-    .unwrap();
+    let direct = MechCompiler::new(Arc::clone(&device), CompilerConfig::default())
+        .compile(&program)
+        .unwrap();
 
     for site in FaultSite::ALL {
         let service = single_worker(Arc::clone(&device));
@@ -139,15 +129,9 @@ fn panic_injection_at_every_site_is_isolated_to_the_request() {
     let _serial = chaos_lock();
     let device = device();
     let program = workload(&device);
-    let direct = MechCompiler::new(
-        Arc::clone(&device),
-        CompilerConfig {
-            threads: 1,
-            ..CompilerConfig::default()
-        },
-    )
-    .compile(&program)
-    .unwrap();
+    let direct = MechCompiler::new(Arc::clone(&device), CompilerConfig::default())
+        .compile(&program)
+        .unwrap();
 
     for site in FaultSite::ALL {
         let service = single_worker(Arc::clone(&device));
@@ -180,44 +164,10 @@ fn panic_injection_at_every_site_is_isolated_to_the_request() {
 }
 
 #[test]
-fn one_shot_retry_recovers_from_a_single_shot_panic() {
-    let _serial = chaos_lock();
-    let device = device();
-    let program = Arc::new(workload(&device));
-    let service = single_worker(Arc::clone(&device));
-    let _armed =
-        Armed::plan(FaultPlan::new().fail_nth(FaultSite::LocalRouter, 1, FaultMode::Panic));
-    let ticket = service
-        .submit_request(Request::new(Arc::clone(&program)).with_retry_internal(true))
-        .unwrap();
-    let outcome = bounded_wait(&ticket).unwrap();
-    assert!(
-        outcome.retried,
-        "the Internal failure must trigger the retry"
-    );
-    assert!(
-        outcome.result.is_ok(),
-        "the retry runs past the single-shot fault: {:?}",
-        outcome.result
-    );
-    let stats = service.shutdown();
-    assert_eq!(stats.panicked, 1);
-    assert_eq!(stats.retried, 1);
-    assert_eq!(stats.served, 1);
-    assert_eq!(stats.submitted, stats.served + stats.shed + stats.failed);
-}
-
-#[test]
 fn persistent_commit_faults_surface_stalled_not_livelock() {
     let _serial = chaos_lock();
     let device = device();
-    let compiler = MechCompiler::new(
-        Arc::clone(&device),
-        CompilerConfig {
-            threads: 1,
-            ..CompilerConfig::default()
-        },
-    );
+    let compiler = MechCompiler::new(Arc::clone(&device), CompilerConfig::default());
     // Two plain CNOTs: no highway groups, so every execution path goes
     // through the regular commit (or the forced-progress fallback) — and
     // a commit site that never succeeds must surface as `Stalled` after
@@ -226,7 +176,7 @@ fn persistent_commit_faults_surface_stalled_not_livelock() {
     program.cnot(Qubit(0), Qubit(1)).unwrap();
     program.cnot(Qubit(2), Qubit(3)).unwrap();
     let _armed =
-        Armed::plan(FaultPlan::new().fail_from(FaultSite::PlannerCommit, 1, FaultMode::Error));
+        Armed::plan(FaultPlan::new().fail_from(FaultSite::RegularCommit, 1, FaultMode::Error));
     let err = compiler.compile(&program).unwrap_err();
     assert_eq!(
         err,
@@ -241,10 +191,7 @@ fn persistent_commit_faults_surface_stalled_not_livelock() {
 fn random_fault_plans_never_deadlock_and_stats_reconcile() {
     let _serial = chaos_lock();
     let device = device();
-    let config = CompilerConfig {
-        threads: 1,
-        ..CompilerConfig::default()
-    };
+    let config = CompilerConfig::default();
     let n = device.num_data_qubits();
     let programs: Vec<Arc<Circuit>> = vec![
         Arc::new(qft(n.min(16))),
@@ -264,7 +211,6 @@ fn random_fault_plans_never_deadlock_and_stats_reconcile() {
             ServeOptions {
                 workers: 2,
                 queue_capacity: 4,
-                threads_per_worker: 1,
             },
         );
         {
@@ -328,10 +274,7 @@ fn device_defect_mid_epoch_flip_stays_transient_and_deterministic() {
     let _serial = chaos_lock();
     let device = device();
     let program = workload(&device);
-    let config = CompilerConfig {
-        threads: 1,
-        ..CompilerConfig::default()
-    };
+    let config = CompilerConfig::default();
 
     // The persistent calibration flip kills the same canonical link the
     // `device.defect` injector degrades transiently: the first cross-chip
@@ -438,13 +381,7 @@ fn recovered_compiles_verify_semantically_at_every_fault_site() {
 fn fault_reports_account_every_trip() {
     let _serial = chaos_lock();
     let device = device();
-    let compiler = MechCompiler::new(
-        Arc::clone(&device),
-        CompilerConfig {
-            threads: 1,
-            ..CompilerConfig::default()
-        },
-    );
+    let compiler = MechCompiler::new(Arc::clone(&device), CompilerConfig::default());
     let program = workload(&device);
     let report = {
         let _armed =

@@ -10,7 +10,7 @@
 //!   structured client error [`CompileError::DeviceDegraded`] — it never
 //!   panics and never emits a wrong schedule;
 //! * the canonical degraded 441-qubit fixture (`mech_bench::defects`)
-//!   compiles every timed program family, thread-count-invariantly.
+//!   compiles every timed program family.
 
 use std::sync::Arc;
 
@@ -23,13 +23,8 @@ use mech_bench::{defects::degraded_441q, programs};
 fn compile_on(
     device: &Arc<mech::DeviceArtifacts>,
     program: &mech_circuit::Circuit,
-    threads: usize,
 ) -> Result<mech::CompileResult, CompileError> {
-    let config = CompilerConfig {
-        threads,
-        ..CompilerConfig::default()
-    };
-    MechCompiler::new(Arc::clone(device), config).compile(program)
+    MechCompiler::new(Arc::clone(device), CompilerConfig::default()).compile(program)
 }
 
 #[test]
@@ -44,7 +39,7 @@ fn degraded_441q_compiles_every_timed_family_on_surviving_fabric() {
     );
     let n = device.num_data_qubits().min(60);
     for (name, gen) in programs::TIMED_FAMILIES {
-        let r = compile_on(&device, &gen(n), 1)
+        let r = compile_on(&device, &gen(n))
             .unwrap_or_else(|e| panic!("{name} failed on degraded 441q: {e}"));
         device
             .audit(&r.circuit)
@@ -53,55 +48,24 @@ fn degraded_441q_compiles_every_timed_family_on_surviving_fabric() {
 }
 
 #[test]
-fn degraded_441q_clifford_families_verify_clean_at_one_and_four_threads() {
+fn degraded_441q_clifford_families_verify_clean() {
     // Defect tolerance is not just "compiles and avoids dead resources":
     // the schedule routed around the dead set must still implement the
     // program. Every Clifford family on the canonical fixture is replayed
-    // on the stabilizer backend, at 1 and 4 planner threads (the two
-    // counts CI sweeps via MECH_THREADS), with thread-count byte-identity
-    // asserted on the way.
+    // on the stabilizer backend.
     let device = degraded_441q().build_artifacts();
     let n = device.num_data_qubits();
+    let config = mech_bench::verify::recording(CompilerConfig::default());
     for (family, gen) in programs::CLIFFORD_FAMILIES {
         let program = gen(n);
-        let mut results = Vec::new();
-        for threads in [1usize, 4] {
-            let config = mech_bench::verify::recording(CompilerConfig {
-                threads,
-                ..CompilerConfig::default()
-            });
-            let r = MechCompiler::new(Arc::clone(&device), config)
-                .compile(&program)
-                .unwrap_or_else(|e| panic!("{family} failed on degraded 441q: {e}"));
-            device
-                .audit(&r.circuit)
-                .unwrap_or_else(|e| panic!("{family} schedule touches a dead resource: {e}"));
-            mech_bench::verify::verify_compiled(&program, &r).unwrap_or_else(|e| {
-                panic!("{family} (threads={threads}) failed semantic verification: {e}")
-            });
-            results.push(r);
-        }
-        assert_eq!(
-            results[0].circuit.ops(),
-            results[1].circuit.ops(),
-            "{family}: degraded schedule diverged across thread counts"
-        );
-    }
-}
-
-#[test]
-fn degraded_schedules_are_thread_count_invariant() {
-    let device = degraded_441q().build_artifacts();
-    let program = programs::qft(device.num_data_qubits().min(40));
-    let serial = compile_on(&device, &program, 1).unwrap();
-    device.audit(&serial.circuit).unwrap();
-    for threads in [2, 8] {
-        let threaded = compile_on(&device, &program, threads).unwrap();
-        assert_eq!(
-            serial.circuit.ops(),
-            threaded.circuit.ops(),
-            "degraded schedule diverged at threads={threads}"
-        );
+        let r = MechCompiler::new(Arc::clone(&device), config)
+            .compile(&program)
+            .unwrap_or_else(|e| panic!("{family} failed on degraded 441q: {e}"));
+        device
+            .audit(&r.circuit)
+            .unwrap_or_else(|e| panic!("{family} schedule touches a dead resource: {e}"));
+        mech_bench::verify::verify_compiled(&program, &r)
+            .unwrap_or_else(|e| panic!("{family} failed semantic verification: {e}"));
     }
 }
 
@@ -118,8 +82,8 @@ fn empty_defect_map_is_byte_identical_to_pristine() {
     let n = a.num_data_qubits();
     for (name, gen) in programs::TIMED_FAMILIES {
         let program = gen(n.min(20));
-        let ra = compile_on(&a, &program, 1).unwrap();
-        let rb = compile_on(&b, &program, 1).unwrap();
+        let ra = compile_on(&a, &program).unwrap();
+        let rb = compile_on(&b, &program).unwrap();
         assert_eq!(ra.circuit.ops(), rb.circuit.ops(), "{name}");
     }
 }
@@ -146,7 +110,7 @@ fn unroutable_degraded_device_returns_a_structured_client_error() {
         .with_defects(DefectMap::new().with_dead_links(seams))
         .build_artifacts();
     let program = programs::qft(device.num_data_qubits());
-    let err = compile_on(&device, &program, 1).unwrap_err();
+    let err = compile_on(&device, &program).unwrap_err();
     assert!(
         matches!(err, CompileError::DeviceDegraded { .. }),
         "expected DeviceDegraded, got {err}"
@@ -207,7 +171,7 @@ proptest! {
         let device = spec.with_defects(map).build_artifacts();
         let n = width.min(device.num_data_qubits().max(1));
         let program = programs::vqe(n);
-        match compile_on(&device, &program, 1) {
+        match compile_on(&device, &program) {
             Ok(r) => {
                 prop_assert!(
                     device.audit(&r.circuit).is_ok(),

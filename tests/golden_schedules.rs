@@ -3,9 +3,8 @@
 //! The MECH compiler must be *bit-deterministic*: the paper-figure binaries
 //! depend on reproducible schedules, and performance refactors of the hot
 //! path (incremental front layer, incremental aggregation front, routing
-//! scratch, entrance tables, parallel route planning) must not change
-//! compiled output. Each test compiles a fixed seeded program on a fixed
-//! device — at **every supported thread count** — and compares an
+//! scratch, entrance tables) must not change compiled output. Each test
+//! compiles a fixed seeded program on a fixed device and compares an
 //! order-insensitive fingerprint — depth, operation counts, off-highway
 //! gate count, shuttle statistics and the full per-shuttle timeline —
 //! against a golden value captured from the pre-refactor compiler.
@@ -21,11 +20,7 @@
 use mech::{CompilerConfig, DeviceSpec, MechCompiler};
 use mech_bench::programs;
 use mech_chiplet::{ChipletSpec, CouplingStructure, DefectMap};
-use mech_circuit::Circuit;
-
-/// Thread counts every fingerprint is checked at: serial, minimal
-/// parallelism, and more workers than any golden device has chiplets.
-const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
+use mech_circuit::{benchmarks, Circuit};
 
 /// Renders everything schedule-relevant about a compile result into one
 /// comparable string. Deliberately excludes the raw op list: op *emission
@@ -36,12 +31,8 @@ const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 /// pin the contract that a cache-shared `DeviceArtifacts` bundle compiles
 /// identically to a freshly built one (asserted directly in
 /// `tests/shared_artifacts.rs`).
-fn fingerprint(spec: &DeviceSpec, program: &Circuit, threads: usize) -> String {
+fn fingerprint(spec: &DeviceSpec, program: &Circuit, config: CompilerConfig) -> String {
     let device = spec.cached();
-    let config = CompilerConfig {
-        threads,
-        ..CompilerConfig::default()
-    };
     let compiler = MechCompiler::new(device, config);
     let r = compiler.compile(program).expect("golden program compiles");
     let c = r.circuit.counts();
@@ -66,21 +57,27 @@ fn fingerprint(spec: &DeviceSpec, program: &Circuit, threads: usize) -> String {
     fp
 }
 
-/// Asserts the fingerprint matches at every thread count, or prints it
-/// when regenerating.
+/// Asserts the fingerprint matches, or prints it when regenerating.
 fn check(name: &str, spec: &DeviceSpec, program: &Circuit, golden: &str) {
+    check_with(name, spec, program, CompilerConfig::default(), golden);
+}
+
+fn check_with(
+    name: &str,
+    spec: &DeviceSpec,
+    program: &Circuit,
+    config: CompilerConfig,
+    golden: &str,
+) {
+    let actual = fingerprint(spec, program, config);
     if std::env::var_os("MECH_GOLDEN_PRINT").is_some() {
-        let actual = fingerprint(spec, program, 1);
         println!("GOLDEN {name} = {actual}");
         return;
     }
-    for threads in THREAD_COUNTS {
-        let actual = fingerprint(spec, program, threads);
-        assert_eq!(
-            actual, golden,
-            "schedule for {name} at threads={threads} diverged from the golden snapshot"
-        );
-    }
+    assert_eq!(
+        actual, golden,
+        "schedule for {name} diverged from the golden snapshot"
+    );
 }
 
 fn data_width(spec: &DeviceSpec) -> u32 {
@@ -168,6 +165,27 @@ fn golden_qft_dense_highway_7x7_1x2() {
     check("qft_7x7_1x2_d2", &dev, &programs::qft(n), GOLDEN_QFT_DENSE);
 }
 
+#[test]
+fn golden_regular_heavy_6x6_2x2() {
+    // A routing-heavy workload: with aggregation effectively disabled
+    // (huge `min_components`) nearly every two-qubit gate goes through the
+    // regular phase, so this pins SWAP routing and the forced-progress
+    // fallback rather than the highway.
+    let dev = DeviceSpec::square(6, 2, 2);
+    let n = data_width(&dev);
+    let config = CompilerConfig {
+        min_components: 64,
+        ..CompilerConfig::default()
+    };
+    check_with(
+        "regular_heavy_6x6_2x2",
+        &dev,
+        &benchmarks::random_circuit(n, 1200, 77),
+        config,
+        GOLDEN_REGULAR_HEAVY,
+    );
+}
+
 // ---------------------------------------------------------------------------
 // Golden fingerprints, captured from the seed compiler (PR 1 state) before
 // the hot-path refactor. `MECH_GOLDEN_PRINT=1` regenerates.
@@ -180,3 +198,4 @@ const GOLDEN_BV: &str = "depth=25 on=198 cross=10 meas=154 one=433 regular=0 shu
 const GOLDEN_RANDOM: &str = "depth=1414 on=3233 cross=300 meas=276 one=859 regular=160 shuttles=15 hwgates=26 comps=68 trace=(20,2,7,12)(216,1,4,10)(241,1,4,12)(282,2,5,23)(294,1,3,11)(453,2,5,12)(617,2,4,11)(744,3,6,16)(785,2,4,26)(801,1,3,10)(981,3,6,14)(1125,1,3,11)(1285,2,5,11)(1304,2,5,12)(1329,1,4,10)";
 const GOLDEN_QFT_HEAVY_HEX: &str = "depth=4301 on=30300 cross=1389 meas=4603 one=21526 regular=17 shuttles=106 hwgates=106 comps=5339 trace=(55,1,103,53)(102,1,102,53)(155,1,101,53)(202,1,100,53)(249,1,96,53)(296,1,98,53)(343,1,97,53)(390,1,93,53)(437,1,95,53)(484,1,91,53)(531,1,93,53)(546,1,1,16)(561,1,1,16)(608,1,92,53)(627,1,2,16)(646,1,2,16)(693,1,90,53)(740,1,90,53)(787,1,89,53)(834,1,88,53)(881,1,87,52)(928,1,86,52)(975,1,85,52)(1022,1,84,52)(1069,1,83,51)(1116,1,82,51)(1160,1,81,51)(1207,1,80,51)(1254,1,79,51)(1298,1,78,51)(1345,1,77,48)(1388,1,76,48)(1435,1,75,49)(1478,1,74,48)(1525,1,73,45)(1572,1,72,46)(1616,1,71,45)(1660,1,70,45)(1703,1,69,44)(1747,1,68,44)(1797,1,67,44)(1844,1,66,44)(1890,1,65,44)(1937,1,64,40)(1985,1,63,40)(2030,1,62,40)(2075,1,61,40)(2126,1,60,40)(2171,1,59,40)(2219,1,58,40)(2266,1,57,40)(2315,1,56,40)(2363,1,55,40)(2412,1,54,40)(2464,1,53,40)(2508,1,52,40)(2558,1,51,27)(2605,1,50,40)(2652,1,49,40)(2704,1,48,27)(2751,1,47,40)(2798,1,46,27)(2849,1,45,27)(2904,1,44,30)(2937,1,43,39)(2979,1,42,30)(3015,1,41,39)(3048,1,40,39)(3087,1,39,27)(3121,1,38,40)(3160,1,37,27)(3202,1,36,27)(3238,1,35,27)(3273,1,34,27)(3305,1,33,24)(3343,1,32,22)(3380,1,31,22)(3417,1,30,22)(3453,1,29,22)(3488,1,28,22)(3523,1,27,20)(3554,1,26,22)(3590,1,25,23)(3623,1,24,22)(3658,1,23,17)(3693,1,22,18)(3724,1,21,17)(3757,1,20,17)(3793,1,19,16)(3827,1,18,16)(3857,1,17,16)(3898,1,16,16)(3928,1,15,16)(3969,1,14,16)(4002,1,13,16)(4037,1,12,16)(4066,1,11,16)(4088,1,6,16)(4116,1,9,16)(4132,1,4,16)(4162,1,7,16)(4187,1,1,7)(4209,1,6,16)(4239,1,3,16)(4261,1,3,16)(4278,1,3,16)";
 const GOLDEN_QFT_DENSE: &str = "depth=807 on=3742 cross=115 meas=2052 one=7231 regular=3 shuttles=47 hwgates=47 comps=1222 trace=(23,1,49,45)(41,1,48,45)(59,1,47,45)(80,1,46,46)(97,1,45,45)(115,1,44,45)(134,1,43,45)(152,1,42,45)(169,1,41,44)(187,1,40,46)(204,1,39,44)(220,1,38,43)(236,1,37,43)(252,1,36,43)(271,1,35,42)(288,1,34,42)(304,1,33,40)(320,1,32,41)(337,1,31,39)(353,1,30,40)(370,1,29,37)(386,1,28,36)(402,1,27,35)(419,1,26,36)(436,1,25,35)(453,1,24,36)(469,1,23,35)(485,1,22,36)(502,1,21,35)(518,1,20,36)(534,1,19,22)(550,1,18,22)(565,1,17,22)(581,1,16,22)(597,1,15,22)(614,1,14,22)(629,1,13,22)(644,1,12,22)(660,1,11,22)(679,1,10,22)(694,1,9,20)(709,1,8,20)(724,1,7,18)(743,1,6,14)(756,1,5,11)(768,1,4,11)(779,1,3,9)";
+const GOLDEN_REGULAR_HEAVY: &str = "depth=4078 on=14589 cross=1990 meas=108 one=500 regular=700 shuttles=0 hwgates=0 comps=0 trace=";

@@ -1,9 +1,8 @@
 //! The artifact/session contract under concurrency: any number of
 //! [`CompileSession`]s running at once against one `Arc`-shared
 //! [`DeviceArtifacts`] bundle must produce schedules bit-identical to
-//! serial compiles — across every supported per-compile thread count —
-//! and a cache-shared bundle must compile identically to a freshly built
-//! one. Together these pin the tentpole invariant of the
+//! serial compiles, and a cache-shared bundle must compile identically to
+//! a freshly built one. Together these pin the tentpole invariant of the
 //! compilation-as-a-service split: the device tier is immutable, every
 //! mutable structure lives in the session.
 
@@ -13,10 +12,8 @@ use mech::{CompilerConfig, DeviceArtifacts, DeviceSpec, MechCompiler};
 use mech_bench::programs;
 use mech_circuit::Circuit;
 
-/// The service must cope with more sessions than cores and with nested
-/// parallelism (session × planner threads).
+/// The service must cope with more sessions than cores.
 const CONCURRENCY: [usize; 2] = [1, 4];
-const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
 fn spec() -> DeviceSpec {
     DeviceSpec::square(5, 2, 2)
@@ -33,12 +30,8 @@ fn mixed_programs(n: u32) -> Vec<Arc<Circuit>> {
 
 /// Compiles `program` on `device` and renders the full op stream plus the
 /// shuttle timeline — the strongest equality we can ask of two compiles.
-fn schedule(device: &Arc<DeviceArtifacts>, program: &Circuit, threads: usize) -> String {
-    let config = CompilerConfig {
-        threads,
-        ..CompilerConfig::default()
-    };
-    let r = MechCompiler::new(Arc::clone(device), config)
+fn schedule(device: &Arc<DeviceArtifacts>, program: &Circuit) -> String {
+    let r = MechCompiler::new(Arc::clone(device), CompilerConfig::default())
         .compile(program)
         .expect("compiles");
     format!("{:?}|{:?}", r.circuit.ops(), r.shuttle_trace)
@@ -48,30 +41,25 @@ fn schedule(device: &Arc<DeviceArtifacts>, program: &Circuit, threads: usize) ->
 fn concurrent_sessions_match_serial_goldens() {
     let device = spec().build_artifacts();
     let circuits = mixed_programs(device.num_data_qubits());
-    for threads in THREAD_COUNTS {
-        // Serial reference schedules, one per program.
-        let serial: Vec<String> = circuits
-            .iter()
-            .map(|p| schedule(&device, p, threads))
-            .collect();
-        for concurrency in CONCURRENCY {
-            let got: Vec<(usize, String)> = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..concurrency * circuits.len())
-                    .map(|i| {
-                        let which = i % circuits.len();
-                        let device = &device;
-                        let program = Arc::clone(&circuits[which]);
-                        scope.spawn(move || (which, schedule(device, &program, threads)))
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().unwrap()).collect()
-            });
-            for (which, fp) in got {
-                assert_eq!(
-                    fp, serial[which],
-                    "program {which} diverged at concurrency={concurrency} threads={threads}"
-                );
-            }
+    // Serial reference schedules, one per program.
+    let serial: Vec<String> = circuits.iter().map(|p| schedule(&device, p)).collect();
+    for concurrency in CONCURRENCY {
+        let got: Vec<(usize, String)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..concurrency * circuits.len())
+                .map(|i| {
+                    let which = i % circuits.len();
+                    let device = &device;
+                    let program = Arc::clone(&circuits[which]);
+                    scope.spawn(move || (which, schedule(device, &program)))
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for (which, fp) in got {
+            assert_eq!(
+                fp, serial[which],
+                "program {which} diverged at concurrency={concurrency}"
+            );
         }
     }
 }
@@ -90,8 +78,8 @@ fn cached_bundle_compiles_identically_to_fresh_bundle() {
     );
     for program in mixed_programs(fresh.num_data_qubits()) {
         assert_eq!(
-            schedule(&fresh, &program, 1),
-            schedule(&cached, &program, 1),
+            schedule(&fresh, &program),
+            schedule(&cached, &program),
             "fresh and cache-shared bundles must compile bit-identically"
         );
     }

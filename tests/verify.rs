@@ -21,8 +21,6 @@ fn device_441q() -> Arc<mech::DeviceArtifacts> {
 
 #[test]
 fn pristine_441q_clifford_families_verify_under_the_policy_sweep() {
-    // CompilerConfig::default() honors MECH_THREADS, so the CI rerun at 4
-    // worker threads verifies the threaded planner's schedules too.
     let device = device_441q();
     let config = verify::recording(CompilerConfig::default());
     let n = device.num_data_qubits();
@@ -57,39 +55,28 @@ fn pristine_441q_clifford_families_verify_under_the_policy_sweep() {
 #[test]
 fn trace_recording_never_changes_the_schedule() {
     // The semantic trace is a side channel: with recording on, the emitted
-    // ops must stay byte-identical at every thread count — which is also
-    // what keeps the PR 8 goldens valid for verified compiles.
+    // ops must stay byte-identical — which is also what keeps the goldens
+    // valid for verified compiles.
     let device = DeviceSpec::square(5, 1, 2).cached();
     let n = device.num_data_qubits();
     for (family, gen) in programs::CLIFFORD_FAMILIES {
         let program = gen(n);
-        let plain = MechCompiler::new(
+        let plain = MechCompiler::new(Arc::clone(&device), CompilerConfig::default())
+            .compile(&program)
+            .unwrap();
+        assert!(plain.circuit.sem_events().is_empty(), "{family}");
+        let recorded = MechCompiler::new(
             Arc::clone(&device),
-            CompilerConfig {
-                threads: 1,
-                ..CompilerConfig::default()
-            },
+            verify::recording(CompilerConfig::default()),
         )
         .compile(&program)
         .unwrap();
-        assert!(plain.circuit.sem_events().is_empty(), "{family}");
-        for threads in [1usize, 2, 8] {
-            let recorded = MechCompiler::new(
-                Arc::clone(&device),
-                verify::recording(CompilerConfig {
-                    threads,
-                    ..CompilerConfig::default()
-                }),
-            )
-            .compile(&program)
-            .unwrap();
-            assert_eq!(
-                plain.circuit.ops(),
-                recorded.circuit.ops(),
-                "{family}: recording changed the schedule at threads={threads}"
-            );
-            assert!(!recorded.circuit.sem_events().is_empty(), "{family}");
-        }
+        assert_eq!(
+            plain.circuit.ops(),
+            recorded.circuit.ops(),
+            "{family}: recording changed the schedule"
+        );
+        assert!(!recorded.circuit.sem_events().is_empty(), "{family}");
     }
 }
 
@@ -100,10 +87,7 @@ fn non_clifford_programs_are_screened_not_verified() {
     let program = programs::qft(n.min(12));
     let result = MechCompiler::new(
         Arc::clone(&device),
-        verify::recording(CompilerConfig {
-            threads: 1,
-            ..CompilerConfig::default()
-        }),
+        verify::recording(CompilerConfig::default()),
     )
     .compile(&program)
     .unwrap();
@@ -118,15 +102,9 @@ fn non_clifford_programs_are_screened_not_verified() {
 fn unrecorded_schedules_report_a_missing_trace() {
     let device = DeviceSpec::square(5, 1, 2).cached();
     let program = programs::ghz(device.num_data_qubits());
-    let result = MechCompiler::new(
-        Arc::clone(&device),
-        CompilerConfig {
-            threads: 1,
-            ..CompilerConfig::default()
-        },
-    )
-    .compile(&program)
-    .unwrap();
+    let result = MechCompiler::new(Arc::clone(&device), CompilerConfig::default())
+        .compile(&program)
+        .unwrap();
     assert_eq!(
         verify::verify_compiled(&program, &result).unwrap_err(),
         VerifyError::MissingTrace
