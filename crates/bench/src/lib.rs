@@ -28,25 +28,15 @@ pub mod defects {
     use mech::DeviceSpec;
 
     /// The paper's 441-qubit evaluation device (`square(7, 3, 3)`) with
-    /// the canonical ≤2% defect set from [`degraded_square`]: all six
-    /// timed program families must still compile on it, with schedules
-    /// touching zero dead resources.
+    /// the canonical ≤2% defect set: all six timed program families must
+    /// still compile on it, with schedules touching zero dead resources.
+    ///
+    /// The dead set comes from a deterministic scan of the pristine
+    /// artifacts: four spread-out dead data qubits, one interior
+    /// (non-crossroad) dead highway node, three dead on-chip data links
+    /// and one dead cross-chip seam link — never the same resource twice.
     pub fn degraded_441q() -> DeviceSpec {
-        degraded_square(7, 3, 3)
-    }
-
-    /// Deterministically degrades `DeviceSpec::square(d, rows, cols)` by
-    /// scanning its pristine artifacts: four spread-out dead data qubits,
-    /// one interior (non-crossroad) dead highway node, three dead on-chip
-    /// data links and one dead cross-chip seam link — well under 2% of a
-    /// 441-qubit fabric, and never the same resource twice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the device is too small to provide the dead set (the
-    /// fixture is meant for multi-chiplet arrays).
-    pub fn degraded_square(d: u32, rows: u32, cols: u32) -> DeviceSpec {
-        let spec = DeviceSpec::square(d, rows, cols);
+        let spec = DeviceSpec::square(7, 3, 3);
         let pristine = spec.build_artifacts();
         let topo = pristine.topology();
         let layout = pristine.layout();
@@ -112,8 +102,8 @@ pub mod programs {
     //! Every harness that times or regression-tests the compilers on "the
     //! QFT program" must mean the *same* circuit, or numbers stop being
     //! comparable across binaries and PRs. This module is the single
-    //! source of those programs: `perf_report` times them, the
-    //! golden-schedule tests fingerprint them. Change a generator or a
+    //! source of those programs: the `perfbench` benchmark serves them,
+    //! the golden-schedule tests fingerprint them. Change a generator or a
     //! seed here and every golden fingerprint is invalidated — regenerate
     //! them (see `tests/golden_schedules.rs`) in the same change.
 
@@ -181,8 +171,10 @@ pub mod programs {
     /// A named family generator: the program for a given width.
     pub type FamilyGen = fn(u32) -> Circuit;
 
-    /// The six timed program families of `perf_report`: the paper's four
-    /// plus the two random-circuit densities.
+    /// The six compile-benchmark program families: the paper's four plus
+    /// the two random-circuit densities. The defect suite compiles all of
+    /// them on the degraded fixture; `perfbench` serves `bv` on
+    /// `recalibrate-sweep` and the other five on `serve-paper-mix`.
     pub const TIMED_FAMILIES: [(&str, FamilyGen); 6] = [
         ("qft", qft),
         ("qaoa", qaoa),
@@ -194,8 +186,8 @@ pub mod programs {
 
     /// The Clifford program families the semantic verifier can check end
     /// to end (QFT/QAOA/VQE carry rotations and are outside the stabilizer
-    /// formalism). Shared by `perf_report --verify`, the chaos/defects
-    /// suites, and `tests/verify.rs`.
+    /// formalism). Shared by `perfbench`'s `verify-clifford` workload,
+    /// the defect suite, and `tests/verify.rs`.
     pub const CLIFFORD_FAMILIES: [(&str, FamilyGen); 3] =
         [("ghz", ghz), ("bv", bv), ("rand-clifford", rand_clifford)];
 }

@@ -829,6 +829,8 @@ mod tests {
             programs::vqe(n.min(16)),
             programs::bv(n),
             programs::rand_sparse(n),
+            programs::qaoa(n.min(16)),
+            programs::rand_dense(n),
         ]
         .into_iter()
         .map(Arc::new)
@@ -868,8 +870,8 @@ mod tests {
             assert!(!outcome.shed);
         }
         let stats = service.shutdown();
-        assert_eq!(stats.submitted, 8);
-        assert_eq!(stats.served, 8);
+        assert_eq!(stats.submitted, 12);
+        assert_eq!(stats.served, 12);
         assert_eq!(stats.submitted, stats.served + stats.shed + stats.failed);
         assert_eq!(stats.panicked, 0);
         assert_eq!(stats.worker_restarts, 0);

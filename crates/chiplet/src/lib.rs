@@ -43,7 +43,7 @@ pub use ids::{ChipletId, LinkKind, PhysQubit};
 pub use kernels::{
     astar_route, AdjacencyView, BfsControl, BfsKernel, CsrGraph, DialSearch, RoutingGraph,
 };
-pub use pathfind::{bfs_distances, shortest_path, shortest_path_avoiding};
+pub use pathfind::{bfs_distances, shortest_path_avoiding};
 pub use phys::{OpCounts, PhysCircuit, PhysOp, PhysOpKind};
 pub use render::render_layout;
 pub use scratch::{

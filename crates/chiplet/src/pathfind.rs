@@ -25,14 +25,9 @@ pub fn bfs_distances(topo: &Topology, src: PhysQubit) -> Vec<u32> {
     dist
 }
 
-/// A shortest path from `src` to `dst` (inclusive of both endpoints), or
-/// `None` if unreachable.
-pub fn shortest_path(topo: &Topology, src: PhysQubit, dst: PhysQubit) -> Option<Vec<PhysQubit>> {
-    shortest_path_avoiding(topo, src, dst, |_| false)
-}
-
-/// A shortest path from `src` to `dst` that never visits a qubit for which
-/// `blocked` returns `true` (endpoints are exempt from the predicate).
+/// A shortest path from `src` to `dst` (inclusive of both endpoints) that
+/// never visits a qubit for which `blocked` returns `true` (endpoints are
+/// exempt from the predicate), or `None` if unreachable.
 ///
 /// Used by the local router to route data qubits around the highway, and by
 /// the highway generator to carve corridors inside a single chiplet. Among
@@ -103,7 +98,7 @@ mod tests {
         let t = ChipletSpec::square(5, 1, 1).build();
         let a = t.qubit_at(0, 0).unwrap();
         let b = t.qubit_at(4, 4).unwrap();
-        let p = shortest_path(&t, a, b).unwrap();
+        let p = shortest_path_avoiding(&t, a, b, |_| false).unwrap();
         assert_eq!(p.first(), Some(&a));
         assert_eq!(p.last(), Some(&b));
         assert_eq!(p.len() as u32, t.distance(a, b) + 1);
@@ -115,7 +110,7 @@ mod tests {
     #[test]
     fn trivial_path_is_single_node() {
         let t = ChipletSpec::square(3, 1, 1).build();
-        let p = shortest_path(&t, PhysQubit(0), PhysQubit(0)).unwrap();
+        let p = shortest_path_avoiding(&t, PhysQubit(0), PhysQubit(0), |_| false).unwrap();
         assert_eq!(p, vec![PhysQubit(0)]);
     }
 

@@ -175,11 +175,6 @@ impl PhysCircuit {
         self.clock.len() as u32
     }
 
-    /// The cost model in effect.
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cost
-    }
-
     /// The scheduled operations, in emission order.
     pub fn ops(&self) -> &[PhysOp] {
         &self.ops

@@ -103,11 +103,6 @@ impl PauliString {
         self.z[(q / 64) as usize] >> (q % 64) & 1 == 1
     }
 
-    /// `true` if the string is the identity (sign ignored).
-    pub fn is_identity(&self) -> bool {
-        self.x.iter().all(|&w| w == 0) && self.z.iter().all(|&w| w == 0)
-    }
-
     /// Re-embeds the string into `m ≥ n` qubits, sending qubit `q` to
     /// `map[q]` and acting as the identity everywhere else.
     ///

@@ -10,8 +10,8 @@
 //! against a golden value captured from the pre-refactor compiler.
 //!
 //! The seeded programs come from `mech_bench::programs`, the same
-//! generators `perf_report` times — the fingerprints below pin exactly the
-//! circuits whose compile times the perf baseline tracks.
+//! generators the `perfbench` benchmark serves — the fingerprints below pin
+//! exactly the circuits whose compile times the benchmark tracks.
 //!
 //! To regenerate after an *intentional* schedule change, run
 //! `MECH_GOLDEN_PRINT=1 cargo test --test golden_schedules -- --nocapture`
