@@ -323,8 +323,8 @@ impl HighwayLayout {
     /// rides is — `Direct`/`Cross` edges when their own link dies,
     /// `Bridge` edges when either hop through the `via` qubit (or the via
     /// itself) dies. Live highway nodes that lose every incident edge stay
-    /// highway nodes: they are isolated corridor stubs the claim engine's
-    /// connectivity pre-filter simply never connects to anything.
+    /// highway nodes: isolated corridor stubs that no claim search ever
+    /// reaches.
     ///
     /// Generation always runs on the *pristine* topology (corridor carving
     /// assumes connected chiplet interiors); pruning is the post-pass that

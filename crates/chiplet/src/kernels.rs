@@ -56,11 +56,11 @@ pub trait RoutingGraph {
 
 /// A compressed-sparse-row graph built from an undirected edge list, for
 /// derived graphs that are not the device topology itself (the highway
-/// mesh inside [`HighwayOccupancy`]). Rows are sorted by neighbor id, and
+/// mesh inside [`HighwaySkeleton`]). Rows are sorted by neighbor id, and
 /// each adjacency slot remembers the originating edge index, so edge
 /// payloads stay addressable in O(log degree).
 ///
-/// [`HighwayOccupancy`]: ../../mech_highway/struct.HighwayOccupancy.html
+/// [`HighwaySkeleton`]: ../../mech_highway/struct.HighwaySkeleton.html
 ///
 /// # Example
 ///
@@ -78,8 +78,6 @@ pub struct CsrGraph {
     /// `edge_ids[slot]` = index into the source edge list of the edge
     /// behind `targets[slot]`.
     edge_ids: Vec<u32>,
-    /// The source edge list, in input order.
-    endpoints: Vec<(PhysQubit, PhysQubit)>,
 }
 
 impl CsrGraph {
@@ -122,7 +120,6 @@ impl CsrGraph {
             starts,
             targets,
             edge_ids,
-            endpoints: edges.to_vec(),
         }
     }
 
@@ -137,19 +134,14 @@ impl CsrGraph {
         (i < row.len() && row[i] == b).then(|| self.edge_ids[lo + i])
     }
 
-    /// The edge list the graph was built from, in input order.
-    pub fn endpoints(&self) -> &[(PhysQubit, PhysQubit)] {
-        &self.endpoints
-    }
-
-    /// Number of undirected edges.
+    /// Number of undirected edges (each fills two row slots).
     pub fn num_edges(&self) -> usize {
-        self.endpoints.len()
+        self.targets.len() / 2
     }
 
     /// `true` if no edges were loaded (the default state).
     pub fn is_empty(&self) -> bool {
-        self.endpoints.is_empty()
+        self.targets.is_empty()
     }
 }
 

@@ -69,10 +69,10 @@ pub struct CompileResult {
     /// number of entrance claims attempted).
     pub claim_searches: u64,
     /// Highway-claim attempts resolved without a search: settled results
-    /// reused across candidates, connectivity-index rejections, trivial
-    /// hub self-claims, and endpoint-unavailable rejections (diagnostic:
-    /// together with `claim_searches` this accounts for every claim
-    /// attempt exactly once).
+    /// reused across candidates, trivial hub self-claims, and
+    /// endpoint-unavailable rejections (diagnostic: together with
+    /// `claim_searches` this accounts for every claim attempt exactly
+    /// once).
     pub claim_skips: u64,
     /// Fraction of physical qubits used as highway ancillas.
     pub highway_percentage: f64,
@@ -305,7 +305,7 @@ impl<'a> CompileSession<'a> {
             pc,
             mapping,
             sched,
-            shuttle: ShuttleState::with_skeleton(topo, Arc::clone(device.skeleton())),
+            shuttle: ShuttleState::new(Arc::clone(device.skeleton())),
             router: LocalRouter::new(topo, layout),
             pending_close: Vec::new(),
             pending: vec![false; circuit.len()],
@@ -408,7 +408,7 @@ impl<'a> CompileSession<'a> {
                 if self.shuttle.is_open() {
                     // Closing retires the in-flight components, which
                     // unblocks their DAG successors next round.
-                    self.shuttle.close(&mut self.pc, device.topology());
+                    self.shuttle.close(&mut self.pc);
                     for id in self.pending_close.drain(..) {
                         self.pending[id.index()] = false;
                         self.sched.complete(id);
@@ -640,12 +640,7 @@ impl<'a> CompileSession<'a> {
         if self
             .shuttle
             .occupancy
-            .try_claim(
-                device.layout(),
-                hub_choice.entrance,
-                hub_choice.entrance,
-                gid,
-            )
+            .try_claim(hub_choice.entrance, hub_choice.entrance, gid)
             .is_err()
         {
             return Vec::new();
@@ -655,11 +650,11 @@ impl<'a> CompileSession<'a> {
         // the highway (paper §6.1), each claiming a highway route from the
         // hub entrance with maximal reuse. The occupancy's one-search claim
         // engine settles a single Dijkstra from the hub entrance and serves
-        // every candidate below from it: unreachable candidates are
-        // rejected in O(1) (connectivity index or settled costs) and
-        // winning paths reconstruct from the same search, re-searching only
-        // when a claim actually grows the corridor — so a component costs
-        // at most one search, instead of one per candidate entrance.
+        // every candidate below from it: candidates the settled costs
+        // leave unreached are rejected in O(1) and winning paths
+        // reconstruct from the same search, re-searching only when a claim
+        // actually grows the corridor — so a component costs at most one
+        // search, instead of one per candidate entrance.
         self.comps.clear();
         for c in &group.components {
             let pos = self.mapping.phys(c.other);
@@ -702,7 +697,7 @@ impl<'a> CompileSession<'a> {
                 if self
                     .shuttle
                     .occupancy
-                    .try_claim(device.layout(), hub_choice.entrance, o.entrance, gid)
+                    .try_claim(hub_choice.entrance, o.entrance, gid)
                     .is_ok()
                 {
                     self.entrance_set.insert(o.entrance);

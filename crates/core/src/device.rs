@@ -24,7 +24,7 @@
 //! are byte-identical to pre-defect ones.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use mech_chiplet::{
     ChipletSpec, CouplingStructure, DefectMap, HighwayLayout, PhysCircuit, PhysOpKind, Topology,
@@ -281,7 +281,10 @@ impl DeviceArtifacts {
 /// A build runs while the map lock is held, so a burst of first-touch
 /// requests for one spec builds exactly once and every waiter receives
 /// the same `Arc`. Builds are milliseconds and happen once per device per
-/// process — serializing them is the simple correct choice.
+/// process — serializing them is the simple correct choice. A build that
+/// panics (an invalid spec) has not inserted anything yet, so the map stays
+/// consistent and the cache keeps serving: the lock's poison flag is
+/// ignored.
 ///
 /// The capacity bound exists for calibration churn: every defect epoch is
 /// a distinct spec, and without eviction a long-lived service would
@@ -329,10 +332,16 @@ impl DeviceCache {
         GLOBAL.get_or_init(DeviceCache::new)
     }
 
+    /// The locked map. A panic under the lock can only come from a build,
+    /// which runs before the insert, so a poisoned map is still consistent.
+    fn state(&self) -> MutexGuard<'_, CacheState> {
+        self.entries.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// The memoized bundle for `spec`, building it on first touch and
     /// evicting the least-recently-used entry when full.
     pub fn get_or_build(&self, spec: &DeviceSpec) -> Arc<DeviceArtifacts> {
-        let mut state = self.entries.lock().expect("device cache poisoned");
+        let mut state = self.state();
         state.tick += 1;
         let tick = state.tick;
         if let Some((artifacts, stamp)) = state.map.get_mut(spec) {
@@ -359,21 +368,12 @@ impl DeviceCache {
     /// Drops the bundle for `spec`, if cached; returns whether an entry
     /// was removed. Holders of the evicted `Arc` are unaffected.
     pub fn invalidate(&self, spec: &DeviceSpec) -> bool {
-        self.entries
-            .lock()
-            .expect("device cache poisoned")
-            .map
-            .remove(spec)
-            .is_some()
+        self.state().map.remove(spec).is_some()
     }
 
     /// Number of bundles currently cached.
     pub fn len(&self) -> usize {
-        self.entries
-            .lock()
-            .expect("device cache poisoned")
-            .map
-            .len()
+        self.state().map.len()
     }
 
     /// The capacity bound.
@@ -445,6 +445,19 @@ mod tests {
     }
 
     #[test]
+    fn a_panicking_build_leaves_the_cache_usable() {
+        let cache = DeviceCache::new();
+        let invalid = DeviceSpec::square(6, 2, 2).with_density(0);
+        let build = std::panic::catch_unwind(|| cache.get_or_build(&invalid));
+        assert!(build.is_err(), "density 0 is rejected by the layout");
+        let spec = DeviceSpec::square(6, 2, 2);
+        let device = cache.get_or_build(&spec);
+        assert_eq!(device.spec(), &spec);
+        assert_eq!(cache.len(), 1);
+        assert!(!cache.invalidate(&invalid));
+    }
+
+    #[test]
     fn defective_specs_are_distinct_cache_keys() {
         let pristine = DeviceSpec::square(5, 1, 2);
         let empty = pristine.clone().with_defects(DefectMap::default());
@@ -477,7 +490,7 @@ mod tests {
         assert!(device.topology().neighbors(dead_node).is_empty());
         assert!(!device.layout().nodes().contains(&dead_node));
         assert!(device.entrances().at(dead_data).is_empty());
-        assert!(device.skeleton().matches(device.layout()));
+        assert!(!device.skeleton().is_highway(dead_node));
         // No surviving entrance option mentions the dead highway node.
         for q in device.layout().data_qubits() {
             for opt in device.entrances().at(q) {
@@ -497,7 +510,12 @@ mod tests {
             !device.entrances().at(q).is_empty(),
             "entrance table built eagerly"
         );
-        assert!(device.skeleton().matches(device.layout()));
+        let skeleton = device.skeleton();
+        assert_eq!(skeleton.csr().num_edges(), device.layout().edges().len());
+        for &node in device.layout().nodes() {
+            assert!(skeleton.is_highway(node));
+        }
+        assert!(!skeleton.is_highway(q));
     }
 
     #[test]

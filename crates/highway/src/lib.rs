@@ -7,9 +7,9 @@
 //! * [`HighwayOccupancy`] — spatial sharing: assignment of *highway paths*
 //!   to multi-target gates, minimizing newly occupied qubits by reusing the
 //!   paths already claimed by the same gate (paper §6.1). Claiming runs a
-//!   **one-search engine**: one settled Dijkstra serves every candidate
-//!   entrance of a group, with O(1) accept/reject, backed by the
-//!   [`ConnectivityIndex`] reachability pre-filter;
+//!   **one-search engine**: one settled Dijkstra over the device's shared
+//!   [`HighwaySkeleton`] serves every candidate entrance of a group, with
+//!   O(1) accept/reject;
 //! * [`prepare_ghz`] — the constant-depth GHZ preparation over a claimed
 //!   path: cluster state (direct/bridge/cross-chip entangling), measurement
 //!   of alternate qubits, Pauli corrections and re-entanglement of measured
@@ -20,14 +20,12 @@
 //! * [`entrance_candidates`] — enumeration of highway entrances reachable
 //!   from a data qubit, for earliest-execution entrance selection.
 
-mod connectivity;
 mod entrance;
 mod ghz;
 mod occupancy;
 mod shuttle;
 mod skeleton;
 
-pub use connectivity::ConnectivityIndex;
 pub use entrance::{entrance_candidates, entrance_search_count, EntranceOption, EntranceTable};
 pub use ghz::{prepare_ghz, prepare_ghz_chain, prepare_ghz_with, GhzPrep, GhzScratch};
 pub use occupancy::{GroupId, HighwayOccupancy, RouteError};

@@ -9,19 +9,16 @@
 //! dedicated per-candidate search would have found, since both are pure
 //! in `(owner, group, origin, destination)` (see
 //! [`RoutingScratch::reconstruct_path`] for the argument, and
-//! `DESIGN.md` §9 for the engine contract). A union-find
-//! [`ConnectivityIndex`](crate::ConnectivityIndex) pre-filters candidates
-//! that cannot be reached at all, so hopeless claims cost O(α) instead of
-//! a search.
+//! `DESIGN.md` §9 for the engine contract). The search runs over the
+//! device's shared [`HighwaySkeleton`], the one claim graph.
 
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
 use mech_chiplet::fault::{self, FaultSite};
-use mech_chiplet::{CancelToken, DialSearch, HighwayLayout, PhysQubit, RoutingScratch};
+use mech_chiplet::{CancelToken, DialSearch, PhysQubit, RoutingScratch};
 
-use crate::connectivity::ConnectivityIndex;
 use crate::skeleton::HighwaySkeleton;
 
 /// Identifier of a multi-target gate currently holding highway resources.
@@ -80,26 +77,27 @@ struct GroupClaim {
 /// qubits owned by other gates are impassable (paper §6.1, highway
 /// routing).
 ///
-/// An occupancy table is built for one device and used with one
-/// [`HighwayLayout`] for its whole life (the compiler creates one per
-/// compilation); the internal adjacency and connectivity caches rely on
-/// this.
+/// An occupancy table routes over one device's [`HighwaySkeleton`] for
+/// its whole life (the compiler creates one per compilation, all sharing
+/// the device's skeleton).
 ///
 /// # Example
 ///
 /// ```
+/// use std::sync::Arc;
 /// use mech_chiplet::{ChipletSpec, HighwayLayout};
-/// use mech_highway::{GroupId, HighwayOccupancy};
+/// use mech_highway::{GroupId, HighwayOccupancy, HighwaySkeleton};
 ///
 /// let topo = ChipletSpec::square(7, 1, 2).build();
 /// let hw = HighwayLayout::generate(&topo, 1);
-/// let mut occ = HighwayOccupancy::new(&topo);
+/// let skeleton = HighwaySkeleton::build(topo.num_qubits() as usize, &hw);
+/// let mut occ = HighwayOccupancy::new(Arc::new(skeleton));
 /// let (a, b) = (hw.nodes()[0], *hw.nodes().last().unwrap());
-/// let path = occ.claim_route(&hw, a, b, GroupId(0)).unwrap();
+/// let path = occ.claim_route(a, b, GroupId(0)).unwrap();
 /// assert_eq!(path.first(), Some(&a));
 /// assert_eq!(path.last(), Some(&b));
 /// // A second gate cannot cross the claimed corridor.
-/// assert!(occ.claim_route(&hw, a, b, GroupId(1)).is_err());
+/// assert!(occ.claim_route(a, b, GroupId(1)).is_err());
 /// ```
 #[derive(Debug, Clone)]
 pub struct HighwayOccupancy {
@@ -117,10 +115,9 @@ pub struct HighwayOccupancy {
     next_stamp: u32,
     /// Reusable routing workspace (same mechanism as the local router).
     scratch: RoutingScratch,
-    /// Immutable CSR view of the layout's highway graph — either shared
-    /// from the device artifacts ([`HighwayOccupancy::with_skeleton`]) or
-    /// built lazily on first use.
-    skeleton: Option<Arc<HighwaySkeleton>>,
+    /// Immutable CSR view of the highway graph, shared with the device
+    /// artifacts.
+    skeleton: Arc<HighwaySkeleton>,
     /// The resumable 0/1-bucket kernel driving the one-search claim
     /// engine.
     dial: DialSearch,
@@ -130,48 +127,33 @@ pub struct HighwayOccupancy {
     search_epoch: u64,
     /// Bumped on every owner change; a mismatch invalidates the search.
     owner_epoch: u64,
-    /// O(α) reachability pre-filter.
-    connectivity: ConnectivityIndex,
     searches: u64,
     skips: u64,
 }
 
 impl HighwayOccupancy {
-    /// Creates an empty occupancy table for a device with
-    /// `topo.num_qubits()` qubits. The CSR highway graph is built lazily
-    /// on the first claim.
-    pub fn new(topo: &mech_chiplet::Topology) -> Self {
-        let n = topo.num_qubits() as usize;
+    /// Creates an empty occupancy table that claims over the shared
+    /// `skeleton` (no per-table graph build).
+    pub fn new(skeleton: Arc<HighwaySkeleton>) -> Self {
+        let mut dial = DialSearch::default();
+        dial.fit(skeleton.dial_levels());
         HighwayOccupancy {
-            owner: vec![None; n],
+            owner: vec![None; skeleton.num_qubits()],
             groups: HashMap::new(),
             active: Vec::new(),
             claimed: 0,
             claim_pool: Vec::new(),
-            edge_seen: Vec::new(),
+            edge_seen: vec![0; skeleton.csr().num_edges()],
             next_stamp: 1,
             scratch: RoutingScratch::default(),
-            skeleton: None,
-            dial: DialSearch::default(),
+            skeleton,
+            dial,
             search_key: None,
             search_epoch: 0,
             owner_epoch: 0,
-            connectivity: ConnectivityIndex::new(n),
             searches: 0,
             skips: 0,
         }
-    }
-
-    /// Creates an empty occupancy table pre-seeded with a shared
-    /// [`HighwaySkeleton`] — no per-table graph build. The claim engine
-    /// behaves bit-identically to a lazily built table; only the graph
-    /// construction cost moves out.
-    pub fn with_skeleton(topo: &mech_chiplet::Topology, skeleton: Arc<HighwaySkeleton>) -> Self {
-        let mut occ = HighwayOccupancy::new(topo);
-        occ.edge_seen = vec![0; skeleton.num_edges()];
-        occ.dial.fit(skeleton.dial_levels());
-        occ.skeleton = Some(skeleton);
-        occ
     }
 
     /// Shares a cancellation token with the claim-search kernel: a
@@ -215,43 +197,12 @@ impl HighwayOccupancy {
     }
 
     /// Claim attempts resolved *without* running a search so far: settled
-    /// results reused across candidates, connectivity pre-filter
-    /// rejections, trivial self-claims, and endpoint-unavailable
-    /// rejections (diagnostic; monotone — every attempt counts here or in
-    /// [`HighwayOccupancy::claim_searches`], never both).
+    /// results reused across candidates, trivial self-claims, and
+    /// endpoint-unavailable rejections (diagnostic; monotone — every
+    /// attempt counts here or in [`HighwayOccupancy::claim_searches`],
+    /// never both).
     pub fn claim_skips(&self) -> u64 {
         self.skips
-    }
-
-    /// Conservative O(α) pre-filter: `false` guarantees that
-    /// [`HighwayOccupancy::claim_route`] from `from` to `to` for `g` would
-    /// fail (an endpoint is unavailable, or every route crosses another
-    /// gate's claim); `true` means a claim may succeed and a search is
-    /// worth running. Never falsely negative — see
-    /// [`ConnectivityIndex`](crate::ConnectivityIndex).
-    pub fn may_reach(
-        &mut self,
-        layout: &HighwayLayout,
-        from: PhysQubit,
-        to: PhysQubit,
-        g: GroupId,
-    ) -> bool {
-        if !self.available_for(from, g) || !self.available_for(to, g) {
-            return false;
-        }
-        if from == to {
-            return true;
-        }
-        self.ensure_graph(layout);
-        let Self {
-            connectivity,
-            skeleton,
-            owner,
-            ..
-        } = self;
-        let graph = skeleton.as_deref().expect("ensured above").csr();
-        connectivity.ensure_fresh(graph, owner);
-        connectivity.may_connect(from, to, g, owner)
     }
 
     /// Routes from `from` to `to` over the highway graph and claims the
@@ -270,12 +221,11 @@ impl HighwayOccupancy {
     /// claim.
     pub fn claim_route(
         &mut self,
-        layout: &HighwayLayout,
         from: PhysQubit,
         to: PhysQubit,
         g: GroupId,
     ) -> Result<Vec<PhysQubit>, RouteError> {
-        self.try_claim(layout, from, to, g)?;
+        self.try_claim(from, to, g)?;
         Ok(self.scratch.path.clone())
     }
 
@@ -290,13 +240,12 @@ impl HighwayOccupancy {
     /// Exactly as [`HighwayOccupancy::claim_route`].
     pub fn try_claim(
         &mut self,
-        layout: &HighwayLayout,
         from: PhysQubit,
         to: PhysQubit,
         g: GroupId,
     ) -> Result<(), RouteError> {
         for q in [from, to] {
-            if !layout.is_highway(q) {
+            if !self.skeleton.is_highway(q) {
                 return Err(RouteError::NotHighway { qubit: q });
             }
         }
@@ -309,17 +258,6 @@ impl HighwayOccupancy {
             self.skips += 1;
             return Err(RouteError::Congested);
         }
-        self.ensure_graph(layout);
-        {
-            let Self {
-                connectivity,
-                skeleton,
-                owner,
-                ..
-            } = self;
-            let graph = skeleton.as_deref().expect("ensured above").csr();
-            connectivity.ensure_fresh(graph, owner);
-        }
 
         // Trivial self-claim (hub entrances): no search required.
         if from == to {
@@ -328,17 +266,6 @@ impl HighwayOccupancy {
             self.scratch.path.push(from);
             self.apply_claim(g);
             return Ok(());
-        }
-
-        // O(α) pre-filter: candidates the free-corridor index proves
-        // unreachable fail exactly like a searched-and-congested candidate
-        // would — with no state change — so skipping the search is safe.
-        // (The index is conservative by construction; the proptest oracle
-        // suite churns random claims against a reference search to pin the
-        // never-false-negative direction.)
-        if !self.connectivity.may_connect(from, to, g, &self.owner) {
-            self.skips += 1;
-            return Err(RouteError::Congested);
         }
 
         if self.search_key != Some((from, g)) || self.search_epoch != self.owner_epoch {
@@ -387,7 +314,7 @@ impl HighwayOccupancy {
             dial,
             ..
         } = self;
-        let graph = skeleton.as_deref().expect("search implies graph").csr();
+        let graph = skeleton.csr();
         dial.advance_to(scratch, graph, to, |nb| match owner[nb.index()] {
             None => Some(1),
             Some(o) if o == g => Some(0),
@@ -406,7 +333,7 @@ impl HighwayOccupancy {
             skeleton,
             ..
         } = self;
-        let graph = skeleton.as_deref().expect("search implies graph").csr();
+        let graph = skeleton.csr();
         scratch.reconstruct_path(
             from,
             to,
@@ -446,10 +373,9 @@ impl HighwayOccupancy {
             scratch,
             skeleton,
             owner_epoch,
-            connectivity,
             ..
         } = self;
-        let graph = skeleton.as_deref().expect("claims imply graph").csr();
+        let graph = skeleton.csr();
         let path = scratch.path.as_slice();
         let claim = groups.get_mut(&g).expect("inserted above");
         let mut grew = false;
@@ -458,7 +384,6 @@ impl HighwayOccupancy {
                 owner[q.index()] = Some(g);
                 *claimed += 1;
                 grew = true;
-                connectivity.note_claim(q, g);
                 claim.nodes.push(q);
             }
         }
@@ -476,26 +401,6 @@ impl HighwayOccupancy {
         }
     }
 
-    /// Ensures the CSR skeleton is present: spot-checks a shared (or
-    /// previously built) skeleton against `layout`, or builds one lazily
-    /// on first use.
-    fn ensure_graph(&mut self, layout: &HighwayLayout) {
-        if let Some(skeleton) = &self.skeleton {
-            // Loud in release too: silently routing over a cached copy of
-            // a different layout's graph would corrupt schedules. Best
-            // effort in O(1) — see [`HighwaySkeleton::matches`].
-            assert!(
-                skeleton.matches(layout) && self.edge_seen.len() == skeleton.num_edges(),
-                "one HighwayOccupancy serves one HighwayLayout"
-            );
-            return;
-        }
-        let skeleton = HighwaySkeleton::build(self.owner.len(), layout);
-        self.dial.fit(skeleton.dial_levels());
-        self.edge_seen = vec![0; skeleton.num_edges()];
-        self.skeleton = Some(Arc::new(skeleton));
-    }
-
     /// Releases the resources of a single group (used when a gate fails to
     /// assemble and abandons its claims before executing anything).
     pub fn release(&mut self, g: GroupId) {
@@ -510,9 +415,6 @@ impl HighwayOccupancy {
             if let Ok(pos) = self.active.binary_search(&g) {
                 self.active.remove(pos);
             }
-            // Freed nodes add free-graph edges the union-find cannot learn
-            // incrementally: rebuild-on-release.
-            self.connectivity.mark_dirty();
             self.owner_epoch += 1;
         }
     }
@@ -530,7 +432,6 @@ impl HighwayOccupancy {
             self.claim_pool.push(claim);
         }
         self.active.clear();
-        self.connectivity.mark_dirty();
         self.owner_epoch += 1;
     }
 
@@ -543,21 +444,22 @@ impl HighwayOccupancy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mech_chiplet::ChipletSpec;
+    use mech_chiplet::{ChipletSpec, HighwayLayout};
 
-    fn setup() -> (mech_chiplet::Topology, HighwayLayout) {
+    fn setup() -> (HighwayLayout, Arc<HighwaySkeleton>) {
         let topo = ChipletSpec::square(7, 2, 2).build();
         let hw = HighwayLayout::generate(&topo, 1);
-        (topo, hw)
+        let skeleton = Arc::new(HighwaySkeleton::build(topo.num_qubits() as usize, &hw));
+        (hw, skeleton)
     }
 
     #[test]
     fn route_claims_all_path_nodes() {
-        let (topo, hw) = setup();
-        let mut occ = HighwayOccupancy::new(&topo);
+        let (hw, skeleton) = setup();
+        let mut occ = HighwayOccupancy::new(skeleton);
         let a = hw.nodes()[0];
         let b = *hw.nodes().last().unwrap();
-        let path = occ.claim_route(&hw, a, b, GroupId(0)).unwrap();
+        let path = occ.claim_route(a, b, GroupId(0)).unwrap();
         for q in &path {
             assert_eq!(occ.owner(*q), Some(GroupId(0)));
         }
@@ -567,35 +469,35 @@ mod tests {
 
     #[test]
     fn reuse_within_a_gate_is_free() {
-        let (topo, hw) = setup();
-        let mut occ = HighwayOccupancy::new(&topo);
+        let (hw, skeleton) = setup();
+        let mut occ = HighwayOccupancy::new(skeleton);
         let a = hw.nodes()[0];
         let b = *hw.nodes().last().unwrap();
-        let first = occ.claim_route(&hw, a, b, GroupId(0)).unwrap();
+        let first = occ.claim_route(a, b, GroupId(0)).unwrap();
         let before = occ.claimed_count();
         // Routing between two nodes already on the claimed path adds
         // nothing.
         let mid = first[first.len() / 2];
-        occ.claim_route(&hw, a, mid, GroupId(0)).unwrap();
+        occ.claim_route(a, mid, GroupId(0)).unwrap();
         assert_eq!(occ.claimed_count(), before);
     }
 
     #[test]
     fn settled_search_is_reused_across_zero_growth_claims() {
-        let (topo, hw) = setup();
-        let mut occ = HighwayOccupancy::new(&topo);
+        let (hw, skeleton) = setup();
+        let mut occ = HighwayOccupancy::new(skeleton);
         let a = hw.nodes()[0];
         let b = *hw.nodes().last().unwrap();
-        occ.claim_route(&hw, a, b, GroupId(0)).unwrap();
+        occ.claim_route(a, b, GroupId(0)).unwrap();
         // The corridor claim grew the owner set, so the next claim settles
         // one fresh search; every claim after that lies entirely on the
         // corridor (zero growth) and reuses it.
         let path = occ.nodes_of(GroupId(0)).to_vec();
-        occ.claim_route(&hw, a, path[1], GroupId(0)).unwrap();
+        occ.claim_route(a, path[1], GroupId(0)).unwrap();
         let searches = occ.claim_searches();
         let skips = occ.claim_skips();
         for &mid in &path[2..path.len() - 1] {
-            occ.claim_route(&hw, a, mid, GroupId(0)).unwrap();
+            occ.claim_route(a, mid, GroupId(0)).unwrap();
         }
         assert_eq!(occ.claim_searches(), searches, "no new search may run");
         assert_eq!(
@@ -607,144 +509,97 @@ mod tests {
 
     #[test]
     fn other_gates_are_impassable() {
-        let (topo, hw) = setup();
-        let mut occ = HighwayOccupancy::new(&topo);
+        let (hw, skeleton) = setup();
+        let mut occ = HighwayOccupancy::new(skeleton);
         let a = hw.nodes()[0];
         let b = *hw.nodes().last().unwrap();
-        occ.claim_route(&hw, a, b, GroupId(0)).unwrap();
+        occ.claim_route(a, b, GroupId(0)).unwrap();
         assert_eq!(
-            occ.claim_route(&hw, a, b, GroupId(1)),
+            occ.claim_route(a, b, GroupId(1)),
             Err(RouteError::Congested)
         );
     }
 
     #[test]
     fn disjoint_regions_coexist() {
-        let (topo, hw) = setup();
-        let mut occ = HighwayOccupancy::new(&topo);
+        let (hw, skeleton) = setup();
+        let mut occ = HighwayOccupancy::new(skeleton);
         // Claim a short route in one corner and another far away.
         let a = hw.nodes()[0];
         let a2 = hw
             .highway_neighbors(a)
             .next()
             .expect("corner node has a neighbor");
-        occ.claim_route(&hw, a, a2, GroupId(0)).unwrap();
+        occ.claim_route(a, a2, GroupId(0)).unwrap();
         let b = *hw.nodes().last().unwrap();
         let b2 = hw
             .highway_neighbors(b)
             .next()
             .expect("far node has a neighbor");
-        occ.claim_route(&hw, b, b2, GroupId(1)).unwrap();
+        occ.claim_route(b, b2, GroupId(1)).unwrap();
         assert_eq!(occ.active_groups(), vec![GroupId(0), GroupId(1)]);
     }
 
     #[test]
     fn non_highway_endpoint_is_rejected() {
-        let (topo, hw) = setup();
-        let mut occ = HighwayOccupancy::new(&topo);
+        let (hw, skeleton) = setup();
+        let mut occ = HighwayOccupancy::new(skeleton);
         let data = hw.data_qubits()[0];
         let err = occ
-            .claim_route(&hw, data, hw.nodes()[0], GroupId(0))
+            .claim_route(data, hw.nodes()[0], GroupId(0))
             .unwrap_err();
         assert_eq!(err, RouteError::NotHighway { qubit: data });
     }
 
     #[test]
     fn release_all_frees_everything() {
-        let (topo, hw) = setup();
-        let mut occ = HighwayOccupancy::new(&topo);
+        let (hw, skeleton) = setup();
+        let mut occ = HighwayOccupancy::new(skeleton);
         let a = hw.nodes()[0];
         let b = *hw.nodes().last().unwrap();
-        occ.claim_route(&hw, a, b, GroupId(0)).unwrap();
+        occ.claim_route(a, b, GroupId(0)).unwrap();
         occ.release_all();
         assert_eq!(occ.claimed_count(), 0);
         assert!(occ.active_groups().is_empty());
-        occ.claim_route(&hw, a, b, GroupId(1)).unwrap();
+        occ.claim_route(a, b, GroupId(1)).unwrap();
     }
 
     #[test]
     fn release_restores_cross_corridor_reachability() {
-        let (topo, hw) = setup();
-        let mut occ = HighwayOccupancy::new(&topo);
+        let (hw, skeleton) = setup();
+        let mut occ = HighwayOccupancy::new(skeleton);
         let a = hw.nodes()[0];
         let b = *hw.nodes().last().unwrap();
-        occ.claim_route(&hw, a, b, GroupId(0)).unwrap();
-        assert!(!occ.may_reach(&hw, a, b, GroupId(1)));
+        occ.claim_route(a, b, GroupId(0)).unwrap();
+        assert_eq!(
+            occ.claim_route(a, b, GroupId(1)),
+            Err(RouteError::Congested)
+        );
         occ.release(GroupId(0));
-        assert!(occ.may_reach(&hw, a, b, GroupId(1)));
-        occ.claim_route(&hw, a, b, GroupId(1)).unwrap();
+        occ.claim_route(a, b, GroupId(1)).unwrap();
         assert_eq!(occ.active_groups(), vec![GroupId(1)]);
     }
 
     #[test]
-    fn prefilter_rejects_cut_off_candidates_without_searching() {
-        let (topo, hw) = setup();
-        let mut occ = HighwayOccupancy::new(&topo);
+    fn tables_sharing_a_skeleton_keep_independent_claims() {
+        let (hw, skeleton) = setup();
+        let mut first = HighwayOccupancy::new(Arc::clone(&skeleton));
+        let mut second = HighwayOccupancy::new(skeleton);
         let a = hw.nodes()[0];
         let b = *hw.nodes().last().unwrap();
-        occ.claim_route(&hw, a, b, GroupId(0)).unwrap();
-        let free: Vec<PhysQubit> = hw
-            .nodes()
-            .iter()
-            .copied()
-            .filter(|&q| occ.owner(q).is_none())
-            .collect();
-        // Between rebuilds the index is conservative (it may answer
-        // maybe-reachable for freshly cut pairs); a release marks it dirty
-        // and the rebuild snapshots the split mesh exactly.
-        occ.claim_route(&hw, free[0], free[0], GroupId(1)).unwrap();
-        occ.release(GroupId(1));
-        // The corner-to-corner corridor cuts the free mesh: find a pair
-        // the rebuilt index proves separated, then claim it without a
-        // single search.
-        let mut cut = None;
-        'outer: for &x in &free {
-            for &y in &free {
-                if x != y && !occ.may_reach(&hw, x, y, GroupId(1)) {
-                    cut = Some((x, y));
-                    break 'outer;
-                }
-            }
-        }
-        let (x, y) = cut.expect("a corner-to-corner corridor cuts the mesh");
-        let searches = occ.claim_searches();
-        assert_eq!(
-            occ.claim_route(&hw, x, y, GroupId(1)),
-            Err(RouteError::Congested)
-        );
-        assert_eq!(
-            occ.claim_searches(),
-            searches,
-            "prefilter must skip the search"
-        );
-    }
-
-    #[test]
-    fn shared_skeleton_matches_lazy_build() {
-        let (topo, hw) = setup();
-        let skeleton = Arc::new(HighwaySkeleton::build(topo.num_qubits() as usize, &hw));
-        let mut lazy = HighwayOccupancy::new(&topo);
-        let mut shared_a = HighwayOccupancy::with_skeleton(&topo, skeleton.clone());
-        let mut shared_b = HighwayOccupancy::with_skeleton(&topo, skeleton);
-        let a = hw.nodes()[0];
-        let b = *hw.nodes().last().unwrap();
-        let want = lazy.claim_route(&hw, a, b, GroupId(0)).unwrap();
-        // Two tables sharing one skeleton behave exactly like the lazy
-        // build — same paths, same search counts, independent claim state.
-        assert_eq!(shared_a.claim_route(&hw, a, b, GroupId(0)).unwrap(), want);
-        assert_eq!(shared_b.claim_route(&hw, a, b, GroupId(1)).unwrap(), want);
-        assert_eq!(shared_a.claim_searches(), lazy.claim_searches());
-        assert_eq!(shared_a.owner(want[0]), Some(GroupId(0)));
-        assert_eq!(shared_b.owner(want[0]), Some(GroupId(1)));
+        let path = first.claim_route(a, b, GroupId(0)).unwrap();
+        assert_eq!(second.claim_route(a, b, GroupId(1)).unwrap(), path);
+        assert_eq!(first.owner(path[0]), Some(GroupId(0)));
+        assert_eq!(second.owner(path[0]), Some(GroupId(1)));
     }
 
     #[test]
     fn edges_follow_claimed_routes() {
-        let (topo, hw) = setup();
-        let mut occ = HighwayOccupancy::new(&topo);
+        let (hw, skeleton) = setup();
+        let mut occ = HighwayOccupancy::new(skeleton);
         let a = hw.nodes()[0];
         let b = *hw.nodes().last().unwrap();
-        let path = occ.claim_route(&hw, a, b, GroupId(0)).unwrap();
+        let path = occ.claim_route(a, b, GroupId(0)).unwrap();
         assert_eq!(occ.edges_of(GroupId(0)).len(), path.len() - 1);
         for (x, y) in occ.edges_of(GroupId(0)) {
             assert!(hw.edge_between(*x, *y).is_some());

@@ -9,10 +9,12 @@
 //! hub data qubits) and releases all paths for the next round.
 
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 use mech_chiplet::{PhysCircuit, PhysQubit, QubitSet, SemGate1, SemGate2, SemPauli, Topology};
 
 use crate::occupancy::{GroupId, HighwayOccupancy};
+use crate::skeleton::HighwaySkeleton;
 
 /// A multi-target gate holding highway resources in the current shuttle.
 #[derive(Debug, Clone)]
@@ -107,31 +109,20 @@ impl QubitSet for PinnedViewExcluding<'_> {
 }
 
 impl ShuttleState {
-    /// Creates an idle shuttle manager.
-    pub fn new(topo: &Topology) -> Self {
+    /// Creates an idle shuttle manager whose occupancy table claims over
+    /// the shared `skeleton`.
+    pub fn new(skeleton: Arc<HighwaySkeleton>) -> Self {
         ShuttleState {
-            occupancy: HighwayOccupancy::new(topo),
+            hub_mask: vec![false; skeleton.num_qubits()],
+            occupancy: HighwayOccupancy::new(skeleton),
             groups: Vec::new(),
             live: HashMap::new(),
-            hub_mask: vec![false; topo.num_qubits() as usize],
             next_id: 0,
             stats: ShuttleStats::default(),
             trace: Vec::new(),
             components_at_open: 0,
             horizon: 0,
         }
-    }
-
-    /// [`ShuttleState::new`] with the occupancy table pre-seeded from a
-    /// shared [`HighwaySkeleton`](crate::HighwaySkeleton) — no per-session
-    /// CSR graph build, bit-identical claim behavior.
-    pub fn with_skeleton(
-        topo: &Topology,
-        skeleton: std::sync::Arc<crate::HighwaySkeleton>,
-    ) -> Self {
-        let mut state = ShuttleState::new(topo);
-        state.occupancy = HighwayOccupancy::with_skeleton(topo, skeleton);
-        state
     }
 
     /// The current pinned set as a zero-cost view (hub positions plus
@@ -290,7 +281,7 @@ impl ShuttleState {
     /// free basis-change H), feeds the phase corrections forward to each
     /// hub, and releases all claims. Returns the time at which every hub is
     /// corrected, or `None` if the shuttle was already idle.
-    pub fn close(&mut self, pc: &mut PhysCircuit, _topo: &Topology) -> Option<u64> {
+    pub fn close(&mut self, pc: &mut PhysCircuit) -> Option<u64> {
         if self.groups.is_empty() {
             return None;
         }
@@ -356,10 +347,12 @@ mod tests {
     use crate::ghz::prepare_ghz;
     use mech_chiplet::{ChipletSpec, CostModel, HighwayLayout, Topology};
 
-    fn setup() -> (Topology, HighwayLayout) {
+    fn setup() -> (Topology, HighwayLayout, ShuttleState) {
         let topo = ChipletSpec::square(7, 1, 2).build();
         let hw = HighwayLayout::generate(&topo, 1);
-        (topo, hw)
+        let skeleton = HighwaySkeleton::build(topo.num_qubits() as usize, &hw);
+        let st = ShuttleState::new(Arc::new(skeleton));
+        (topo, hw, st)
     }
 
     /// Claims a route across the device for a fresh group and prepares its
@@ -373,7 +366,7 @@ mod tests {
         let gid = st.next_group_id();
         let a = hw.nodes()[0];
         let b = *hw.nodes().last().unwrap();
-        let path = st.occupancy.claim_route(hw, a, b, gid).unwrap();
+        let path = st.occupancy.claim_route(a, b, gid).unwrap();
         let entrances: HashSet<PhysQubit> = path.iter().copied().collect();
         let nodes = st.occupancy.nodes_of(gid).to_vec();
         let edges = st.occupancy.edges_of(gid).to_vec();
@@ -398,9 +391,8 @@ mod tests {
 
     #[test]
     fn full_shuttle_lifecycle() {
-        let (topo, hw) = setup();
+        let (topo, hw, mut st) = setup();
         let mut pc = PhysCircuit::new(topo.num_qubits(), CostModel::default());
-        let mut st = ShuttleState::new(&topo);
         assert!(!st.is_open());
 
         let (gid, live) = open_group(&mut pc, &topo, &hw, &mut st);
@@ -421,7 +413,7 @@ mod tests {
             .unwrap();
         st.component(&mut pc, &topo, gid, target_entrance, access, SemGate2::Cnot);
 
-        let end = st.close(&mut pc, &topo).unwrap();
+        let end = st.close(&mut pc).unwrap();
         assert!(end > 0);
         assert!(!st.is_open());
         assert_eq!(st.stats().shuttles, 1);
@@ -433,18 +425,16 @@ mod tests {
 
     #[test]
     fn close_on_idle_returns_none() {
-        let (topo, _) = setup();
+        let (topo, _, mut st) = setup();
         let mut pc = PhysCircuit::new(topo.num_qubits(), CostModel::default());
-        let mut st = ShuttleState::new(&topo);
-        assert_eq!(st.close(&mut pc, &topo), None);
+        assert_eq!(st.close(&mut pc), None);
     }
 
     #[test]
     #[should_panic(expected = "not live")]
     fn attaching_at_consumed_entrance_panics() {
-        let (topo, hw) = setup();
+        let (topo, hw, mut st) = setup();
         let mut pc = PhysCircuit::new(topo.num_qubits(), CostModel::default());
-        let mut st = ShuttleState::new(&topo);
         let (gid, live) = open_group(&mut pc, &topo, &hw, &mut st);
         let hub_data = st.pinned().into_iter().next().unwrap();
         st.attach_hub(&mut pc, &topo, gid, hub_data, live[0]);
@@ -454,20 +444,18 @@ mod tests {
 
     #[test]
     fn hub_waits_for_closing_measurements() {
-        let (topo, hw) = setup();
+        let (topo, hw, mut st) = setup();
         let mut pc = PhysCircuit::new(topo.num_qubits(), CostModel::default());
-        let mut st = ShuttleState::new(&topo);
         let (gid, live) = open_group(&mut pc, &topo, &hw, &mut st);
         let hub_data = st.pinned().into_iter().next().unwrap();
         st.attach_hub(&mut pc, &topo, gid, hub_data, live[0]);
-        let end = st.close(&mut pc, &topo).unwrap();
+        let end = st.close(&mut pc).unwrap();
         assert_eq!(pc.time(hub_data), end);
     }
 
     #[test]
     fn group_ids_are_unique() {
-        let (topo, _) = setup();
-        let mut st = ShuttleState::new(&topo);
+        let (_, _, mut st) = setup();
         let a = st.next_group_id();
         let b = st.next_group_id();
         assert_ne!(a, b);

@@ -3,48 +3,42 @@
 //! [`HighwaySkeleton`] is everything the claim engine derives from a
 //! [`HighwayLayout`] that does not change per compilation: the flat CSR
 //! copy of the highway graph (kernel-layer [`CsrGraph`]: sorted rows plus
-//! edge-id lookup), its edge count, and the Dial bucket bound. It is
-//! `Send + Sync` and is meant to be built once per device and shared
-//! across concurrent [`HighwayOccupancy`](crate::HighwayOccupancy) tables
-//! via `Arc` — the mutable claim state stays per-occupancy, the graph is
-//! read-only for its whole life.
+//! edge-id lookup), the highway-membership mask, and the Dial bucket
+//! bound. It is `Send + Sync` and is meant to be built once per device
+//! and shared across concurrent
+//! [`HighwayOccupancy`](crate::HighwayOccupancy) tables via `Arc` — the
+//! mutable claim state stays per-occupancy, the graph is read-only for its
+//! whole life.
 
 use mech_chiplet::{CsrGraph, HighwayLayout, PhysQubit};
 
 /// Immutable per-device view of the highway graph shared by every
 /// occupancy table compiled against the same device.
-///
-/// Built from one [`HighwayLayout`] and valid only with that layout; the
-/// identity fields let borrowers spot-check the one-skeleton-one-layout
-/// contract in O(1) (see [`HighwaySkeleton::matches`]).
 #[derive(Debug)]
 pub struct HighwaySkeleton {
     /// Flat CSR view of the layout's highway graph.
     graph: CsrGraph,
-    /// Number of highway edges (sizes the per-occupancy edge-stamp table).
-    num_edges: usize,
+    /// `is_highway[q]` = `q` is a highway node of the source layout.
+    is_highway: Vec<bool>,
     /// Dial bucket bound: primary cost ≤ one per distinct highway node on
     /// a path.
     dial_levels: usize,
-    /// Address of the layout's edge buffer the graph was built from, plus
-    /// a spot-checked endpoint pair — a best-effort identity check that
-    /// the skeleton is only ever used with its source layout.
-    edge_addr: usize,
-    last_edge: Option<(PhysQubit, PhysQubit)>,
 }
 
 impl HighwaySkeleton {
     /// Builds the skeleton for a device with `num_qubits` physical qubits
     /// from its highway layout.
     pub fn build(num_qubits: usize, layout: &HighwayLayout) -> Self {
-        let edges = layout.edges();
-        let endpoints: Vec<(PhysQubit, PhysQubit)> = edges.iter().map(|e| (e.a, e.b)).collect();
+        let endpoints: Vec<(PhysQubit, PhysQubit)> =
+            layout.edges().iter().map(|e| (e.a, e.b)).collect();
+        let mut is_highway = vec![false; num_qubits];
+        for &q in layout.nodes() {
+            is_highway[q.index()] = true;
+        }
         HighwaySkeleton {
             graph: CsrGraph::from_edges(num_qubits, &endpoints),
-            num_edges: edges.len(),
+            is_highway,
             dial_levels: layout.nodes().len() + 1,
-            edge_addr: edges.as_ptr() as usize,
-            last_edge: edges.last().map(|e| (e.a, e.b)),
         }
     }
 
@@ -53,41 +47,19 @@ impl HighwaySkeleton {
         &self.graph
     }
 
-    /// Number of highway edges in the source layout.
-    pub fn num_edges(&self) -> usize {
-        self.num_edges
+    /// Number of physical qubits on the device.
+    pub fn num_qubits(&self) -> usize {
+        self.is_highway.len()
+    }
+
+    /// `true` if `q` is a highway node of the source layout.
+    pub fn is_highway(&self, q: PhysQubit) -> bool {
+        self.is_highway[q.index()]
     }
 
     /// Upper bound on distinct primary-cost levels a claim search can
     /// produce (sizes the resumable Dial's bucket array).
     pub fn dial_levels(&self) -> usize {
         self.dial_levels
-    }
-
-    /// Best-effort O(1) identity check: `true` iff `layout` looks like the
-    /// layout this skeleton was built from (buffer address, edge count,
-    /// and an endpoint spot-check — an exhaustive content compare would
-    /// cost O(E) on every claim).
-    pub fn matches(&self, layout: &HighwayLayout) -> bool {
-        self.edge_addr == layout.edges().as_ptr() as usize
-            && self.num_edges == layout.edges().len()
-            && layout.edges().last().map(|e| (e.a, e.b)) == self.last_edge
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use mech_chiplet::ChipletSpec;
-
-    #[test]
-    fn skeleton_matches_only_its_source_layout() {
-        let topo = ChipletSpec::square(5, 1, 2).build();
-        let hw = HighwayLayout::generate(&topo, 1);
-        let sk = HighwaySkeleton::build(topo.num_qubits() as usize, &hw);
-        assert!(sk.matches(&hw));
-        assert_eq!(sk.num_edges(), hw.edges().len());
-        let other = HighwayLayout::generate(&topo, 1);
-        assert!(!sk.matches(&other), "distinct layout instance must fail");
     }
 }

@@ -5,12 +5,14 @@
 use proptest::prelude::*;
 
 use mech::{BaselineCompiler, CompilerConfig, MechCompiler};
+use mech_bench::programs;
 use mech_chiplet::{
     ChipletSpec, CouplingStructure, HighwayLayout, LinkKind, PhysOpKind, PhysQubit,
 };
 use mech_circuit::benchmarks::random_circuit;
 use mech_circuit::{
-    aggregate_controlled, commutes, AggregateOptions, Circuit, CommutationDag, GateId,
+    aggregate_controlled, commutes, AggregateOptions, Circuit, CommutationDag, Gate, GateId,
+    OneQubitGate,
 };
 use mech_router::Mapping;
 
@@ -185,6 +187,66 @@ proptest! {
             prop_assert!(r.is_err());
         } else {
             prop_assert!(r.is_ok());
+        }
+    }
+}
+
+/// `circuit` with every `Rx`/`Ry`/`Rz` angle and every two-qubit
+/// interaction angle replaced by a pseudo-random value drawn from `seed`
+/// (splitmix64, uniform in [-π, π)).
+fn with_random_angles(circuit: &Circuit, seed: u64) -> Circuit {
+    let mut state = seed;
+    let mut angle = move || {
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^= z >> 31;
+        ((z >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * std::f64::consts::TAU
+    };
+    let mut out = Circuit::with_capacity(circuit.num_qubits(), circuit.len());
+    for &gate in circuit.gates() {
+        let gate = match gate {
+            Gate::One { gate, q } => {
+                let gate = match gate {
+                    OneQubitGate::Rx(_) => OneQubitGate::Rx(angle()),
+                    OneQubitGate::Ry(_) => OneQubitGate::Ry(angle()),
+                    OneQubitGate::Rz(_) => OneQubitGate::Rz(angle()),
+                    fixed => fixed,
+                };
+                Gate::One { gate, q }
+            }
+            Gate::Two { kind, a, b, .. } => Gate::Two {
+                kind,
+                a,
+                b,
+                angle: angle(),
+            },
+            measure @ Gate::Measure { .. } => measure,
+        };
+        out.push(gate).expect("operands of a valid circuit");
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// Angles never affect compilation (`mech_circuit::Gate`): QFT, QAOA
+    /// and VQE with every angle re-drawn compile to exactly the original
+    /// op stream and final placement.
+    #[test]
+    fn angles_never_change_the_schedule(seed in 0u64..u64::MAX) {
+        let device = mech::DeviceSpec::square(6, 2, 2).cached();
+        let n = device.num_data_qubits();
+        let compiler = MechCompiler::new(device, CompilerConfig::default());
+        for program in [programs::qft(n), programs::qaoa(n), programs::vqe(n)] {
+            let redrawn = with_random_angles(&program, seed);
+            prop_assert_ne!(&redrawn, &program);
+            let original = compiler.compile(&program).unwrap();
+            let rotated = compiler.compile(&redrawn).unwrap();
+            prop_assert_eq!(rotated.circuit.ops(), original.circuit.ops());
+            prop_assert_eq!(rotated.final_positions, original.final_positions);
         }
     }
 }
