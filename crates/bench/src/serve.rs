@@ -1,7 +1,7 @@
 //! Compilation-as-a-service: a multi-tenant front end over the compiler.
 //!
 //! [`CompileService`] owns a worker pool sharing one `Arc`-shared
-//! [`DeviceArtifacts`](mech::DeviceArtifacts) bundle and a **bounded**
+//! [`DeviceArtifacts`] bundle and a **bounded**
 //! request queue: submitters block while the queue is full (or use
 //! [`CompileService::try_submit`] for a non-blocking [`ServeError::QueueFull`]),
 //! so a burst of tenants applies back-pressure instead of growing memory
@@ -39,7 +39,7 @@
 //! # Calibration epochs
 //!
 //! The device bundle is *hot-swappable*: [`CompileService::reconfigure`]
-//! builds a new [`DeviceArtifacts`](mech::DeviceArtifacts) bundle off the
+//! builds a new [`DeviceArtifacts`] bundle off the
 //! worker pool (a detached builder thread) and installs it atomically.
 //! Every request captures the current bundle at submit time, so requests
 //! queued or in flight when the swap lands *drain on the old epoch's
@@ -542,15 +542,6 @@ impl CompileService {
     /// [`ServeError::QueueFull`] when blocking `submit` would wait;
     /// [`ServeError::Closed`] if the service has shut down.
     pub fn try_submit(&self, circuit: Arc<Circuit>) -> Result<Ticket, ServeError> {
-        self.try_submit_request(Request::new(circuit))
-    }
-
-    /// Non-blocking [`CompileService::submit_request`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`CompileService::try_submit`].
-    pub fn try_submit_request(&self, request: Request) -> Result<Ticket, ServeError> {
         let (reply, rx) = mpsc::channel();
         let q = self.shared.lock_queue();
         if q.closed {
@@ -559,7 +550,7 @@ impl CompileService {
         if q.jobs.len() >= self.shared.capacity {
             return Err(ServeError::QueueFull);
         }
-        self.enqueue(q, request, reply);
+        self.enqueue(q, Request::new(circuit), reply);
         Ok(Ticket { rx })
     }
 

@@ -129,7 +129,7 @@ impl FaultTrigger {
 }
 
 /// A deterministic schedule of faults to inject, armed process-wide with
-/// [`arm`].
+/// `arm` (present only with the `fault-inject` feature).
 ///
 /// # Example
 ///

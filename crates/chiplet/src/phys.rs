@@ -2,11 +2,11 @@
 //!
 //! A [`PhysCircuit`] is the output of both compilers. Operations are
 //! scheduled ASAP — each op starts at the latest availability time of its
-//! operands (optionally later, for protocol synchronization points) — so
-//! circuit depth falls out of per-qubit clocks. Costs follow the paper's
-//! metric: two-qubit gates have unit duration, measurements take
-//! [`CostModel::meas_latency`], one-qubit gates and classical corrections
-//! are free.
+//! operands ([`PhysCircuit::advance`] delays a qubit for protocol
+//! synchronization points) — so circuit depth falls out of per-qubit
+//! clocks. Costs follow the paper's metric: two-qubit gates have unit
+//! duration, measurements take [`CostModel::meas_latency`], one-qubit
+//! gates and classical corrections are free.
 
 use crate::cost::CostModel;
 use crate::ids::{LinkKind, PhysQubit};
@@ -193,47 +193,26 @@ impl PhysCircuit {
         *c = (*c).max(t);
     }
 
-    /// Schedules a two-qubit gate between coupled qubits, starting no
-    /// earlier than `not_before`. Returns the start time.
+    /// Schedules a two-qubit gate between coupled qubits ASAP. Returns the
+    /// start time.
     ///
     /// # Panics
     ///
     /// Panics if `a` and `b` are not coupled in `topo` — emitting such a
     /// gate is always a compiler bug.
-    pub fn two_qubit_after(
-        &mut self,
-        topo: &Topology,
-        a: PhysQubit,
-        b: PhysQubit,
-        not_before: u64,
-    ) -> u64 {
+    pub fn two_qubit(&mut self, topo: &Topology, a: PhysQubit, b: PhysQubit) -> u64 {
         let kind = topo
             .coupling(a, b)
             .unwrap_or_else(|| panic!("two-qubit gate on uncoupled pair {a}, {b}"));
-        self.emit_resolved(kind, a, b, not_before)
+        self.emit_resolved(kind, a, b)
     }
 
-    /// Schedules a two-qubit gate ASAP. Returns the start time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the qubits are not coupled.
-    pub fn two_qubit(&mut self, topo: &Topology, a: PhysQubit, b: PhysQubit) -> u64 {
-        self.two_qubit_after(topo, a, b, 0)
-    }
-
-    /// The one emission routine behind every two-qubit schedule: the
-    /// single-gate entry points resolve the coupling and delegate here,
+    /// The one emission routine behind every two-qubit schedule:
+    /// [`PhysCircuit::two_qubit`] resolves the coupling and delegates here,
     /// and the multi-CNOT gadgets (swap, bridge) resolve each coupling
     /// once instead of per CNOT.
-    fn emit_resolved(
-        &mut self,
-        kind: LinkKind,
-        a: PhysQubit,
-        b: PhysQubit,
-        not_before: u64,
-    ) -> u64 {
-        let start = self.time(a).max(self.time(b)).max(not_before);
+    fn emit_resolved(&mut self, kind: LinkKind, a: PhysQubit, b: PhysQubit) -> u64 {
+        let start = self.time(a).max(self.time(b));
         let end = start + 1;
         self.clock[a.index()] = end;
         self.clock[b.index()] = end;
@@ -251,8 +230,9 @@ impl PhysCircuit {
         start
     }
 
-    /// Schedules a SWAP as three CNOTs over the same link. Returns the
-    /// start time of the first.
+    /// Schedules a SWAP as three CNOTs over the same link —
+    /// CNOT(a, b)·CNOT(b, a)·CNOT(a, b). Returns the start time of the
+    /// first.
     ///
     /// # Panics
     ///
@@ -264,9 +244,9 @@ impl PhysCircuit {
         // Swaps are always literal swaps regardless of caller, so the
         // semantic event is recorded here rather than at every call site.
         self.record_gate2(SemGate2::Swap, a, b);
-        let s = self.emit_resolved(kind, a, b, 0);
-        self.emit_resolved(kind, a, b, 0);
-        self.emit_resolved(kind, a, b, 0);
+        let s = self.emit_resolved(kind, a, b);
+        self.emit_resolved(kind, b, a);
+        self.emit_resolved(kind, a, b);
         s
     }
 
@@ -284,10 +264,10 @@ impl PhysCircuit {
         let bc = topo
             .coupling(b, c)
             .unwrap_or_else(|| panic!("bridge on uncoupled pair {b}, {c}"));
-        let s = self.emit_resolved(bc, b, c, 0);
-        self.emit_resolved(ab, a, b, 0);
-        self.emit_resolved(bc, b, c, 0);
-        self.emit_resolved(ab, a, b, 0);
+        let s = self.emit_resolved(bc, b, c);
+        self.emit_resolved(ab, a, b);
+        self.emit_resolved(bc, b, c);
+        self.emit_resolved(ab, a, b);
         s
     }
 
@@ -303,11 +283,10 @@ impl PhysCircuit {
         });
     }
 
-    /// Schedules a measurement of `q`, starting no earlier than
-    /// `not_before`. Returns the time at which the (classical) outcome is
-    /// available.
-    pub fn measure_after(&mut self, q: PhysQubit, not_before: u64) -> u64 {
-        let start = self.time(q).max(not_before);
+    /// Schedules a measurement of `q` ASAP. Returns the time at which the
+    /// (classical) outcome is available.
+    pub fn measure(&mut self, q: PhysQubit) -> u64 {
+        let start = self.time(q);
         let end = start + u64::from(self.cost.meas_latency);
         self.clock[q.index()] = end;
         self.counts.measurements += 1;
@@ -319,11 +298,6 @@ impl PhysCircuit {
             duration: self.cost.meas_latency,
         });
         end
-    }
-
-    /// Schedules a measurement ASAP. Returns the outcome time.
-    pub fn measure(&mut self, q: PhysQubit) -> u64 {
-        self.measure_after(q, 0)
     }
 
     /// Circuit depth: the latest clock across all qubits.
@@ -380,6 +354,13 @@ mod tests {
         pc.swap(&t, PhysQubit(0), PhysQubit(1));
         assert_eq!(pc.counts().on_chip_cnots, 3);
         assert_eq!(pc.depth(), 3);
+        let (q0, q1) = (PhysQubit(0), PhysQubit(1));
+        let operands: Vec<_> = pc.ops().iter().map(|op| (op.a, op.b)).collect();
+        assert_eq!(
+            operands,
+            [(q0, Some(q1)), (q1, Some(q0)), (q0, Some(q1))],
+            "CNOT(a, b)·CNOT(b, a)·CNOT(a, b)"
+        );
     }
 
     #[test]
@@ -421,9 +402,10 @@ mod tests {
         let t = topo2();
         let mut pc = PhysCircuit::new(t.num_qubits(), CostModel::default());
         pc.advance(PhysQubit(0), 10);
-        let s = pc.two_qubit_after(&t, PhysQubit(0), PhysQubit(1), 12);
+        pc.advance(PhysQubit(1), 12);
+        let s = pc.two_qubit(&t, PhysQubit(0), PhysQubit(1));
         assert_eq!(s, 12);
-        assert_eq!(pc.time(PhysQubit(1)), 13);
+        assert_eq!(pc.time(PhysQubit(0)), 13);
     }
 
     #[test]

@@ -302,16 +302,6 @@ impl Topology {
         )
     }
 
-    /// Total number of undirected links, `(on_chip, cross_chip)`.
-    pub fn link_counts(&self) -> (usize, usize) {
-        let on = self
-            .kinds
-            .iter()
-            .filter(|&&k| k == LinkKind::OnChip)
-            .count();
-        (on / 2, self.num_cross_links)
-    }
-
     /// The adjacency rebuilt through the retained pre-CSR builder, as
     /// per-qubit link lists in legacy insertion order. This is the *oracle*
     /// the property tests pin the CSR arrays against (degree lists,
@@ -461,12 +451,16 @@ mod tests {
         let t = ChipletSpec::square(5, 2, 3).build();
         assert_eq!(t.num_qubits(), 6 * 25);
         assert_eq!(t.num_chiplets(), 6);
-        let (on, cross) = t.link_counts();
-        // Each 5x5 chiplet: 2*5*4 = 40 on-chip links.
-        assert_eq!(on, 6 * 40);
+        let on = t
+            .qubits()
+            .flat_map(|q| t.neighbor_links(q))
+            .filter(|l| l.kind == LinkKind::OnChip)
+            .count();
+        // Each 5x5 chiplet: 2*5*4 = 40 on-chip links, seen from both ends.
+        assert_eq!(on, 2 * 6 * 40);
         // Boundaries: vertical 2 rows * 2 = 4, horizontal 1 * 3 = 3; each
         // with 5 links.
-        assert_eq!(cross, 7 * 5);
+        assert_eq!(t.num_cross_links(), 7 * 5);
     }
 
     #[test]

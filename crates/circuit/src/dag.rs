@@ -19,7 +19,6 @@ use crate::aggregate::AggregationFront;
 use crate::circuit::Circuit;
 use crate::commute::PauliRole;
 use crate::gate::Gate;
-use crate::qubit::Qubit;
 
 /// Identifier of a gate: its position in the circuit's program order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -136,11 +135,6 @@ impl CommutationDag {
             }
         }
         preds.into_iter().collect()
-    }
-
-    /// Number of blocks on qubit `q` (diagnostic).
-    pub fn block_count(&self, q: Qubit) -> usize {
-        self.blocks[q.index()].len()
     }
 
     /// Starts a scheduling session over this DAG.
@@ -377,6 +371,7 @@ impl<'a> DagSchedule<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::qubit::Qubit;
 
     #[test]
     fn sequential_cnot_chain_is_serialized() {
@@ -508,7 +503,19 @@ mod tests {
         c.h(Qubit(0)).unwrap();
         c.h(Qubit(0)).unwrap();
         let dag = CommutationDag::new(&c);
-        // [rz rz] [x x] [h] [h] -> 4 blocks (Other gates are singletons).
-        assert_eq!(dag.block_count(Qubit(0)), 4);
+        // [rz rz] [x x] [h] [h] -> 4 blocks (Other gates are singletons):
+        // each gate depends on exactly the whole previous block.
+        let preds: Vec<Vec<GateId>> = (0..6).map(|g| dag.predecessors(GateId(g))).collect();
+        assert_eq!(
+            preds,
+            [
+                vec![],
+                vec![],
+                vec![GateId(0), GateId(1)],
+                vec![GateId(0), GateId(1)],
+                vec![GateId(2), GateId(3)],
+                vec![GateId(4)],
+            ]
+        );
     }
 }

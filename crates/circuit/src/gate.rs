@@ -122,14 +122,6 @@ impl TwoQubitKind {
         )
     }
 
-    /// Whether the gate matrix is diagonal in the computational basis.
-    pub fn is_diagonal(self) -> bool {
-        matches!(
-            self,
-            TwoQubitKind::Cz | TwoQubitKind::Cphase | TwoQubitKind::Rzz
-        )
-    }
-
     /// Commutation role of the first operand.
     pub fn role_a(self) -> PauliRole {
         match self {
@@ -237,11 +229,6 @@ impl Gate {
             Gate::Measure { .. } => true,
         }
     }
-
-    /// `true` for measurements.
-    pub fn is_measurement(&self) -> bool {
-        matches!(self, Gate::Measure { .. })
-    }
 }
 
 impl fmt::Display for Gate {
@@ -332,11 +319,14 @@ mod tests {
 
     #[test]
     fn diagonal_kinds_report_diagonal() {
-        assert!(TwoQubitKind::Cz.is_diagonal());
-        assert!(TwoQubitKind::Cphase.is_diagonal());
-        assert!(TwoQubitKind::Rzz.is_diagonal());
-        assert!(!TwoQubitKind::Cnot.is_diagonal());
-        assert!(!TwoQubitKind::Swap.is_diagonal());
+        // Diagonal gates act as Z on both operands, which is what lets
+        // them commute with every other Z-role gate on either qubit.
+        let diagonal = |k: TwoQubitKind| k.role_a() == PauliRole::Z && k.role_b() == PauliRole::Z;
+        assert!(diagonal(TwoQubitKind::Cz));
+        assert!(diagonal(TwoQubitKind::Cphase));
+        assert!(diagonal(TwoQubitKind::Rzz));
+        assert!(!diagonal(TwoQubitKind::Cnot));
+        assert!(!diagonal(TwoQubitKind::Swap));
         assert!(!TwoQubitKind::Swap.is_controlled());
     }
 
@@ -344,7 +334,6 @@ mod tests {
     fn measurement_role_is_barrier() {
         let m = Gate::Measure { q: Qubit(4) };
         assert_eq!(m.role_on(Qubit(4)), PauliRole::Other);
-        assert!(m.is_measurement());
     }
 
     #[test]

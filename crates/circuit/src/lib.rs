@@ -9,7 +9,8 @@
 //!
 //! It also ships generators for the four benchmark families evaluated in the
 //! paper: QFT, QAOA (max-cut on random graphs), VQE (full-entanglement
-//! ansatz) and Bernstein–Vazirani.
+//! ansatz) and Bernstein–Vazirani. Circuits are built in code through
+//! [`Circuit`]'s gate methods; there is no text front end.
 //!
 //! # Example
 //!
@@ -34,7 +35,6 @@ mod gate;
 mod qubit;
 
 pub mod benchmarks;
-pub mod qasm;
 
 pub use aggregate::{
     aggregate_controlled, AggregateOptions, AggregationFront, GroupKind, MultiTargetGate,

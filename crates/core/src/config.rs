@@ -127,12 +127,6 @@ impl CompileBudget {
         self
     }
 
-    /// `true` when the budget can never fail a check (no deadline, no
-    /// round cap — the token may still cancel later).
-    pub fn is_unlimited(&self) -> bool {
-        self.deadline.is_none() && self.max_rounds.is_none()
-    }
-
     /// Checks the budget after `rounds` completed rounds. Cancellation
     /// wins ties: a cancelled token reports [`BudgetExceeded::Cancelled`]
     /// even when the deadline has also passed.
@@ -180,7 +174,6 @@ mod tests {
     #[test]
     fn unlimited_budget_never_fails() {
         let b = CompileBudget::unlimited();
-        assert!(b.is_unlimited());
         assert!(b.check(0).is_ok());
         assert!(b.check(u64::MAX).is_ok());
     }

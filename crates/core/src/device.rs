@@ -26,9 +26,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
-use mech_chiplet::{
-    ChipletSpec, CouplingStructure, DefectMap, HighwayLayout, PhysCircuit, PhysOpKind, Topology,
-};
+use mech_chiplet::{ChipletSpec, DefectMap, HighwayLayout, PhysCircuit, PhysOpKind, Topology};
 use mech_highway::{EntranceTable, HighwaySkeleton};
 
 /// Default number of highway corridors per chiplet per direction.
@@ -88,16 +86,6 @@ impl DeviceSpec {
     /// configuration).
     pub fn square(chiplet_size: u32, array_rows: u32, array_cols: u32) -> Self {
         DeviceSpec::new(ChipletSpec::square(chiplet_size, array_rows, array_cols))
-    }
-
-    /// Shorthand for a heavy-hexagon chiplet array.
-    pub fn heavy_hex(chiplet_size: u32, array_rows: u32, array_cols: u32) -> Self {
-        DeviceSpec::new(ChipletSpec::new(
-            CouplingStructure::HeavyHexagon,
-            chiplet_size,
-            array_rows,
-            array_cols,
-        ))
     }
 
     /// Sets the number of highway corridors per chiplet per direction
@@ -391,7 +379,7 @@ impl DeviceCache {
 mod tests {
     use super::*;
 
-    use mech_chiplet::PhysQubit;
+    use mech_chiplet::{CouplingStructure, PhysQubit};
 
     #[test]
     fn cache_shares_one_bundle_per_spec() {
@@ -524,6 +512,7 @@ mod tests {
         let b = DeviceSpec::square(6, 2, 2).with_density(2);
         assert_eq!(a, b);
         assert_ne!(a, b.with_density(1));
-        assert_ne!(a, DeviceSpec::heavy_hex(6, 2, 2).with_density(2));
+        let heavy_hex = ChipletSpec::new(CouplingStructure::HeavyHexagon, 6, 2, 2);
+        assert_ne!(a, DeviceSpec::new(heavy_hex).with_density(2));
     }
 }

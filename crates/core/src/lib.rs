@@ -49,7 +49,6 @@ mod compiler;
 mod config;
 mod device;
 mod error;
-pub mod fidelity;
 mod metrics;
 
 pub use baseline::BaselineCompiler;

@@ -267,14 +267,19 @@ pub fn prepare_ghz_with(
         "claimed edges must connect all claimed nodes"
     );
 
-    // Semantic reading (recorded only when tracing): the cluster+measure
-    // protocol prepares exactly the state of the naive cascade — H on the
-    // root, then CNOT parent→child along the claimed tree. Measuring the
-    // color-1 class in the X basis removes those members from the GHZ state
-    // up to one Z correction on a survivor conditioned on the parity of all
-    // outcomes (recorded after the measurement loop below). This reading is
-    // a *state* witness, not a timing witness: constant depth is checked
-    // separately by the statevector protocol tests.
+    // Semantic reading (recorded only when tracing): the trace records the
+    // state of the naive cascade — H on the root, then CNOT parent→child
+    // along the claimed tree — not the cluster ops emitted above. Measuring
+    // the color-1 class in the X basis removes those members from that GHZ
+    // state up to one Z correction on a survivor conditioned on the parity
+    // of all outcomes (recorded after the measurement loop below).
+    //
+    // Known gap: the emitted ops prepare that state only where every
+    // measured node has exactly two tree neighbours (the path case the
+    // statevector protocol tests check). A measured leaf collapses its
+    // neighbour, and a measured node of tree degree ≥ 3 leaves the survivors
+    // outside the GHZ class, so verifier passes prove this reading, not the
+    // ops.
     if pc.sem_recording() {
         pc.record_gate1(root, SemGate1::H);
         let mut seen: HashSet<PhysQubit> = HashSet::from([root]);

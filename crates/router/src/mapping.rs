@@ -53,11 +53,6 @@ impl Mapping {
         }
     }
 
-    /// Number of logical qubits.
-    pub fn num_logical(&self) -> u32 {
-        self.log_to_phys.len() as u32
-    }
-
     /// The physical position of logical qubit `q`.
     pub fn phys(&self, q: Qubit) -> PhysQubit {
         self.log_to_phys[q.index()]

@@ -31,11 +31,6 @@ impl State {
         self.n
     }
 
-    /// The amplitude of a computational-basis state.
-    pub fn amplitude(&self, basis: usize) -> C64 {
-        self.amps[basis]
-    }
-
     /// The probability of a computational-basis state.
     pub fn probability(&self, basis: usize) -> f64 {
         self.amps[basis].norm_sqr()

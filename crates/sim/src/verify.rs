@@ -43,11 +43,90 @@
 
 use std::fmt;
 
-use mech_chiplet::{PhysQubit, SemEvent, SemEventKind, SemGate1, SemGate2, SemPauli};
-use mech_circuit::{Circuit, Gate};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
-use crate::stabilizer::{apply_one, apply_two, OutcomePolicy, OutcomeSource};
+use mech_chiplet::{PhysQubit, SemEvent, SemEventKind, SemGate1, SemGate2, SemPauli};
+use mech_circuit::{Circuit, Gate, OneQubitGate, TwoQubitKind};
+
 use crate::tableau::{Membership, PauliString, Tableau};
+
+/// How to resolve measurement outcomes that are uniformly random.
+///
+/// A verification pass is a pure function of the schedule and the policy,
+/// so a failure under one policy reproduces exactly.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum OutcomePolicy {
+    /// Every random outcome reads 0 — exercises the "no correction" branch
+    /// of measurement-based protocols.
+    Zeros,
+    /// Every random outcome reads 1 — exercises every classically-
+    /// controlled correction.
+    Ones,
+    /// Outcomes drawn from a seeded RNG — a reproducible mix of branches.
+    Seeded(u64),
+}
+
+impl OutcomePolicy {
+    /// The three policies the verification suites sweep. `Zeros` and
+    /// `Ones` cover both branches of every correction; the seeded policy
+    /// adds an arbitrary interleaving.
+    pub const SWEEP: [OutcomePolicy; 3] = [
+        OutcomePolicy::Zeros,
+        OutcomePolicy::Ones,
+        OutcomePolicy::Seeded(0x6d65_6368),
+    ];
+}
+
+/// A stream of desired outcomes realized from an [`OutcomePolicy`].
+struct OutcomeSource {
+    policy: OutcomePolicy,
+    rng: Option<StdRng>,
+}
+
+impl OutcomeSource {
+    fn new(policy: OutcomePolicy) -> Self {
+        let rng = match policy {
+            OutcomePolicy::Seeded(seed) => Some(StdRng::seed_from_u64(seed)),
+            _ => None,
+        };
+        OutcomeSource { policy, rng }
+    }
+
+    fn next_outcome(&mut self) -> bool {
+        match (&self.policy, &mut self.rng) {
+            (OutcomePolicy::Zeros, _) => false,
+            (OutcomePolicy::Ones, _) => true,
+            (OutcomePolicy::Seeded(_), Some(rng)) => rng.gen_bool(0.5),
+            (OutcomePolicy::Seeded(_), None) => unreachable!("seeded source has an rng"),
+        }
+    }
+}
+
+fn apply_one(tab: &mut Tableau, gate: OneQubitGate, q: u32) {
+    match gate {
+        OneQubitGate::H => tab.h(q),
+        OneQubitGate::X => tab.x(q),
+        OneQubitGate::Y => tab.y(q),
+        OneQubitGate::Z => tab.z(q),
+        OneQubitGate::S => tab.s(q),
+        OneQubitGate::Sdg => tab.sdg(q),
+        OneQubitGate::T
+        | OneQubitGate::Tdg
+        | OneQubitGate::Rx(_)
+        | OneQubitGate::Ry(_)
+        | OneQubitGate::Rz(_) => unreachable!("screened by is_clifford"),
+    }
+}
+
+fn apply_two(tab: &mut Tableau, kind: TwoQubitKind, a: u32, b: u32) {
+    match kind {
+        TwoQubitKind::Cnot => tab.cnot(a, b),
+        TwoQubitKind::Cz => tab.cz(a, b),
+        TwoQubitKind::Swap => tab.swap(a, b),
+        TwoQubitKind::Cphase | TwoQubitKind::Rzz => unreachable!("screened by is_clifford"),
+    }
+}
 
 /// A structured miscompile report (or a reason the schedule cannot be
 /// verified at all).
@@ -568,6 +647,15 @@ mod tests {
             "ones branch exposes it: {err}"
         );
         assert!(err.to_string().contains("diverged"));
+        // A seeded policy lands on either branch, and the same seed always
+        // lands on the same one, so a seeded failure reproduces.
+        let seeded: Vec<bool> = (0..16)
+            .map(|seed| v.verify(OutcomePolicy::Seeded(seed)).is_ok())
+            .collect();
+        assert!(seeded.contains(&true) && seeded.contains(&false));
+        for (seed, &ok) in (0..16).zip(&seeded) {
+            assert_eq!(v.verify(OutcomePolicy::Seeded(seed)).is_ok(), ok);
+        }
     }
 
     #[test]
