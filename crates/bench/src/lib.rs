@@ -6,8 +6,6 @@
 //! benchmark sized to the data region, compiling with both MECH and the
 //! SABRE baseline, and formatting rows.
 
-use std::time::Instant;
-
 use mech::mech_highway::ShuttleStats;
 use mech::{BaselineCompiler, CompilerConfig, DeviceSpec, MechCompiler, Metrics};
 use mech_circuit::benchmarks::Benchmark;
@@ -260,10 +258,6 @@ pub struct RunOutcome {
     pub shuttle: ShuttleStats,
     /// Fraction of qubits used as highway ancillas.
     pub highway_pct: f64,
-    /// Wall-clock seconds spent in the MECH compiler.
-    pub mech_secs: f64,
-    /// Wall-clock seconds spent in the baseline compiler.
-    pub baseline_secs: f64,
 }
 
 impl RunOutcome {
@@ -297,17 +291,12 @@ pub fn run_cell(
     let n = device.num_data_qubits();
     let program = bench.generate(n, seed);
 
-    let t = Instant::now();
     let mech = MechCompiler::new(device.clone(), config)
         .compile(&program)
         .expect("MECH compilation");
-    let mech_secs = t.elapsed().as_secs_f64();
-
-    let t = Instant::now();
     let baseline = BaselineCompiler::new(device.topology(), config)
         .compile(&program)
         .expect("baseline compilation");
-    let baseline_secs = t.elapsed().as_secs_f64();
 
     RunOutcome {
         bench,
@@ -317,8 +306,6 @@ pub fn run_cell(
         mech: mech.metrics(),
         shuttle: mech.shuttle_stats,
         highway_pct: mech.highway_percentage,
-        mech_secs,
-        baseline_secs,
     }
 }
 

@@ -65,23 +65,6 @@ impl MultiTargetGate {
     }
 }
 
-/// Tuning knobs for [`aggregate_controlled`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AggregateOptions {
-    /// Minimum number of components for a group to be worth a highway
-    /// shuttle; smaller clusters execute as regular routed gates.
-    ///
-    /// The protocol costs one GHZ preparation plus measurements per shuttle,
-    /// so tiny groups don't pay for themselves. Default: 3.
-    pub min_components: usize,
-}
-
-impl Default for AggregateOptions {
-    fn default() -> Self {
-        AggregateOptions { min_components: 3 }
-    }
-}
-
 /// One bucket membership of an aggregable gate: which hub it can join, how
 /// it couples there, and which operand would receive the highway operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -274,18 +257,19 @@ impl AggregationFront {
     /// Greedily groups the tracked gates into multi-target gates, exactly
     /// as [`aggregate_controlled`] would on the same front: groups come out
     /// largest first, `leftovers` holds every tracked two-qubit gate that
-    /// joined no group, ascending.
+    /// joined no group, ascending. Groups smaller than `min_components`
+    /// (floored at 2) are not formed; their gates stay leftovers.
     ///
     /// `groups` from the previous round may be passed back in; their
     /// component buffers are recycled, so steady-state carving allocates
     /// nothing.
     pub fn carve(
         &mut self,
-        options: AggregateOptions,
+        min_components: usize,
         groups: &mut Vec<MultiTargetGate>,
         leftovers: &mut Vec<GateId>,
     ) {
-        let min = options.min_components.max(2);
+        let min = min_components.max(2);
         for mut g in groups.drain(..) {
             g.components.clear();
             self.comp_pool.push(g.components);
@@ -395,8 +379,11 @@ impl AggregationFront {
 /// Groups the `ready` gates of `circuit` into multi-target gates.
 ///
 /// Returns the groups (largest first) and the leftover gates that should be
-/// executed as regular 2-qubit gates. One-qubit gates and measurements in
-/// `ready` are always returned in the leftovers.
+/// executed as regular 2-qubit gates. A group needs at least
+/// `min_components` components (floored at 2) to be worth a highway
+/// shuttle: the protocol costs one GHZ preparation plus measurements per
+/// shuttle, so tiny groups don't pay for themselves. One-qubit gates and
+/// measurements in `ready` are always returned in the leftovers.
 ///
 /// This is the one-shot convenience form of [`AggregationFront`]: it builds
 /// a front from `ready`, carves once and returns the result. `ready` is
@@ -408,14 +395,14 @@ impl AggregationFront {
 /// # Example
 ///
 /// ```
-/// use mech_circuit::{aggregate_controlled, AggregateOptions, Circuit, GateId, Qubit};
+/// use mech_circuit::{aggregate_controlled, Circuit, GateId, Qubit};
 /// # fn main() -> Result<(), mech_circuit::CircuitError> {
 /// let mut c = Circuit::new(4);
 /// for t in 1..4 {
 ///     c.cnot(Qubit(0), Qubit(t))?;
 /// }
 /// let ready: Vec<GateId> = (0..3).map(GateId).collect();
-/// let (groups, rest) = aggregate_controlled(&c, &ready, AggregateOptions::default());
+/// let (groups, rest) = aggregate_controlled(&c, &ready, 3);
 /// assert_eq!(groups.len(), 1);
 /// assert_eq!(groups[0].hub, Qubit(0));
 /// assert_eq!(groups[0].len(), 3);
@@ -426,7 +413,7 @@ impl AggregationFront {
 pub fn aggregate_controlled(
     circuit: &Circuit,
     ready: &[GateId],
-    options: AggregateOptions,
+    min_components: usize,
 ) -> (Vec<MultiTargetGate>, Vec<GateId>) {
     let mut front = AggregationFront::new(circuit);
     // Non-two-qubit gates pass through as leftovers (the front tracks only
@@ -441,7 +428,7 @@ pub fn aggregate_controlled(
     }
     let mut groups = Vec::new();
     let mut leftovers = Vec::new();
-    front.carve(options, &mut groups, &mut leftovers);
+    front.carve(min_components, &mut groups, &mut leftovers);
     leftovers.extend(passthrough);
     leftovers.sort_unstable();
     (groups, leftovers)
@@ -451,21 +438,15 @@ pub fn aggregate_controlled(
 mod tests {
     use super::*;
 
-    fn opts(min: usize) -> AggregateOptions {
-        AggregateOptions {
-            min_components: min,
-        }
-    }
-
     /// Reference implementation: the pre-incremental per-round rebuild
     /// (flat bucket arrays refilled from the ready list on every call),
     /// kept verbatim as the oracle the front must match gate-for-gate.
     fn aggregate_oracle(
         circuit: &Circuit,
         ready: &[GateId],
-        options: AggregateOptions,
+        min_components: usize,
     ) -> (Vec<MultiTargetGate>, Vec<GateId>) {
-        let min = options.min_components.max(2);
+        let min = min_components.max(2);
         let nq = circuit.num_qubits() as usize;
         let mut plain: Vec<Vec<GateId>> = vec![Vec::new(); nq];
         let mut conjugated: Vec<Vec<GateId>> = vec![Vec::new(); nq];
@@ -592,8 +573,8 @@ mod tests {
             let c = mixed_program(12, 80, seed + 1);
             let ready: Vec<GateId> = (0..c.len() as u32).map(GateId).collect();
             for min in [2, 3, 5] {
-                let got = aggregate_controlled(&c, &ready, opts(min));
-                let want = aggregate_oracle(&c, &ready, opts(min));
+                let got = aggregate_controlled(&c, &ready, min);
+                let want = aggregate_oracle(&c, &ready, min);
                 assert_eq!(got, want, "seed={seed} min={min}");
             }
         }
@@ -634,13 +615,13 @@ mod tests {
                 front.remove(id);
                 front.remove(id); // idempotent
             }
-            front.carve(opts(2), &mut groups, &mut leftovers);
+            front.carve(2, &mut groups, &mut leftovers);
             // The oracle's bucket order follows its input order; the
             // compiler always offered the ready set ascending, which is
             // the order the front maintains.
             let mut live_sorted = live.clone();
             live_sorted.sort_unstable();
-            let (want_groups, want_rest) = aggregate_oracle(&c, &live_sorted, opts(2));
+            let (want_groups, want_rest) = aggregate_oracle(&c, &live_sorted, 2);
             assert_eq!(groups, want_groups, "groups diverged in round {round}");
             assert_eq!(leftovers, want_rest, "leftovers diverged in round {round}");
         }
@@ -677,7 +658,7 @@ mod tests {
             c.cnot(Qubit(0), Qubit(t)).unwrap();
         }
         let ready: Vec<GateId> = (0..4).map(GateId).collect();
-        let (groups, rest) = aggregate_controlled(&c, &ready, opts(2));
+        let (groups, rest) = aggregate_controlled(&c, &ready, 2);
         assert_eq!(groups.len(), 1);
         assert_eq!(groups[0].hub, Qubit(0));
         assert_eq!(groups[0].kind, GroupKind::Plain);
@@ -692,7 +673,7 @@ mod tests {
             c.cnot(Qubit(s), Qubit(0)).unwrap();
         }
         let ready: Vec<GateId> = (0..4).map(GateId).collect();
-        let (groups, rest) = aggregate_controlled(&c, &ready, opts(2));
+        let (groups, rest) = aggregate_controlled(&c, &ready, 2);
         assert_eq!(groups.len(), 1);
         assert_eq!(groups[0].hub, Qubit(0));
         assert_eq!(groups[0].kind, GroupKind::Conjugated);
@@ -706,7 +687,7 @@ mod tests {
         c.cnot(Qubit(0), Qubit(1)).unwrap();
         c.cnot(Qubit(2), Qubit(3)).unwrap();
         let ready = vec![GateId(0), GateId(1)];
-        let (groups, rest) = aggregate_controlled(&c, &ready, opts(3));
+        let (groups, rest) = aggregate_controlled(&c, &ready, 3);
         assert!(groups.is_empty());
         assert_eq!(rest, vec![GateId(0), GateId(1)]);
     }
@@ -721,7 +702,7 @@ mod tests {
         c.cnot(Qubit(0), Qubit(3)).unwrap();
         c.cnot(Qubit(4), Qubit(1)).unwrap();
         let ready: Vec<GateId> = (0..4).map(GateId).collect();
-        let (groups, rest) = aggregate_controlled(&c, &ready, opts(2));
+        let (groups, rest) = aggregate_controlled(&c, &ready, 2);
         let total: usize = groups.iter().map(|g| g.len()).sum();
         assert_eq!(total + rest.len(), 4);
         assert_eq!(groups[0].hub, Qubit(0));
@@ -736,7 +717,7 @@ mod tests {
         c.cp(Qubit(0), Qubit(1), 0.2).unwrap();
         c.cp(Qubit(0), Qubit(2), 0.3).unwrap();
         let ready: Vec<GateId> = (0..3).map(GateId).collect();
-        let (groups, rest) = aggregate_controlled(&c, &ready, opts(2));
+        let (groups, rest) = aggregate_controlled(&c, &ready, 2);
         assert_eq!(groups.len(), 1);
         assert_eq!(groups[0].len(), 2);
         assert_eq!(rest.len(), 1);
@@ -749,7 +730,7 @@ mod tests {
         c.rzz(Qubit(1), Qubit(0), 0.1).unwrap();
         c.rzz(Qubit(0), Qubit(2), 0.1).unwrap();
         let ready = vec![GateId(0), GateId(1)];
-        let (groups, _) = aggregate_controlled(&c, &ready, opts(2));
+        let (groups, _) = aggregate_controlled(&c, &ready, 2);
         assert_eq!(groups.len(), 1);
         assert_eq!(groups[0].hub, Qubit(0));
         let others: Vec<Qubit> = groups[0].components.iter().map(|c| c.other).collect();
@@ -762,7 +743,7 @@ mod tests {
         c.h(Qubit(0)).unwrap();
         c.cnot(Qubit(0), Qubit(1)).unwrap();
         let ready = vec![GateId(0)];
-        let (groups, rest) = aggregate_controlled(&c, &ready, opts(2));
+        let (groups, rest) = aggregate_controlled(&c, &ready, 2);
         assert!(groups.is_empty());
         assert_eq!(rest, vec![GateId(0)]);
     }
@@ -777,7 +758,7 @@ mod tests {
         c.cnot(Qubit(4), Qubit(5)).unwrap();
         c.cnot(Qubit(4), Qubit(6)).unwrap();
         let ready: Vec<GateId> = (0..5).map(GateId).collect();
-        let (groups, _) = aggregate_controlled(&c, &ready, opts(2));
+        let (groups, _) = aggregate_controlled(&c, &ready, 2);
         assert_eq!(groups.len(), 2);
         assert!(groups[0].len() >= groups[1].len());
     }

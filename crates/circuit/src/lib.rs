@@ -37,8 +37,7 @@ mod qubit;
 pub mod benchmarks;
 
 pub use aggregate::{
-    aggregate_controlled, AggregateOptions, AggregationFront, GroupKind, MultiTargetGate,
-    TargetComponent,
+    aggregate_controlled, AggregationFront, GroupKind, MultiTargetGate, TargetComponent,
 };
 pub use circuit::{Circuit, CircuitError, CircuitStats};
 pub use commute::{commutes, PauliRole};

@@ -57,12 +57,7 @@ impl<'a> BaselineCompiler<'a> {
                 available: self.topo.num_qubits(),
             });
         }
-        Ok(sabre_route(
-            circuit,
-            self.topo,
-            self.config.cost,
-            self.config.sabre,
-        ))
+        Ok(sabre_route(circuit, self.topo, self.config.cost))
     }
 
     /// Compiles and summarizes in one call.

@@ -38,8 +38,8 @@ use std::sync::Arc;
 use mech_chiplet::fault::{self, FaultSite};
 use mech_chiplet::{PhysCircuit, PhysQubit, QubitSet, SemGate1, SemGate2, StampSet};
 use mech_circuit::{
-    AggregateOptions, Circuit, CommutationDag, DagSchedule, Gate, GateId, GroupKind,
-    MultiTargetGate, OneQubitGate, Qubit, TwoQubitKind,
+    Circuit, CommutationDag, DagSchedule, Gate, GateId, GroupKind, MultiTargetGate, OneQubitGate,
+    Qubit, TwoQubitKind,
 };
 use mech_highway::{
     prepare_ghz_chain, prepare_ghz_with, ActiveGroup, EntranceOption, GhzScratch, ShuttleState,
@@ -491,9 +491,7 @@ impl<'a> CompileSession<'a> {
             .aggregation_front_mut()
             .expect("session attaches an aggregation front")
             .carve(
-                AggregateOptions {
-                    min_components: self.config.min_components,
-                },
+                self.config.min_components,
                 &mut self.groups,
                 &mut self.regular,
             );

@@ -1,7 +1,6 @@
 use std::time::{Duration, Instant};
 
 use mech_chiplet::{CancelToken, CostModel};
-use mech_router::SabreConfig;
 
 /// How GHZ states are prepared on claimed highway paths.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -48,10 +47,6 @@ pub struct CompilerConfig {
     /// whether or not a trace is captured; the only cost is the trace memory.
     /// Defaults to `false`.
     pub record_sem_trace: bool,
-    /// Baseline router tuning (used by [`BaselineCompiler`]).
-    ///
-    /// [`BaselineCompiler`]: crate::BaselineCompiler
-    pub sabre: SabreConfig,
 }
 
 /// Why a budget check failed (maps onto
@@ -155,7 +150,6 @@ impl Default for CompilerConfig {
             min_components: 3,
             ghz_style: GhzStyle::default(),
             record_sem_trace: false,
-            sabre: SabreConfig::default(),
         }
     }
 }

@@ -18,4 +18,4 @@ mod sabre;
 
 pub use local::{LocalRouter, RoutingError};
 pub use mapping::Mapping;
-pub use sabre::{sabre_route, SabreConfig};
+pub use sabre::sabre_route;

@@ -22,49 +22,34 @@ use mech_circuit::{Circuit, CommutationDag, Gate, GateId, Qubit};
 
 use crate::mapping::Mapping;
 
-/// Tuning knobs of the SABRE baseline.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SabreConfig {
-    /// Number of upcoming gates in the extended (lookahead) set.
-    pub extended_size: usize,
-    /// Weight of the extended set in the heuristic.
-    pub extended_weight: f64,
-    /// Decay added to a qubit each time it participates in a SWAP.
-    pub decay_increment: f64,
-    /// SWAPs between decay resets.
-    pub decay_reset_interval: u32,
-    /// Front-layer gates considered for SWAP candidates and scoring (caps
-    /// the per-decision cost on very wide circuits).
-    pub front_cap: usize,
-    /// Gate completions between full front rescans. Between rescans only
-    /// gates touching swapped positions execute incrementally; a rescan
-    /// drains everything executable, refreshes the capped front layer and
-    /// the extended set. Small values track the front closely but pay the
-    /// O(ready) rebuild often; large values go stale on wide all-commuting
-    /// fronts and pick worse swaps.
-    ///
-    /// The default of 128 comes from a wall-clock sweep over
-    /// {16, 32, 64, 128, 256, 512, 1024} on the 441-qubit device across
-    /// QFT/QAOA/BV/rand-dense (see `DESIGN.md` §8.4): 128 routed 1–3%
-    /// faster than the previous hard-coded 256 on every family, with
-    /// byte-identical output on QFT/BV/rand-dense and a 2.4% depth
-    /// increase on QAOA. Below 64 wall-clock degrades sharply (the rebuild
-    /// dominates); above 256 nothing changes (fronts go stale first).
-    pub rescan_interval: usize,
-}
+// Tuning constants of the SABRE baseline, fixed like the module constants
+// of Qiskit's `SabreSwap`.
 
-impl Default for SabreConfig {
-    fn default() -> Self {
-        SabreConfig {
-            extended_size: 20,
-            extended_weight: 0.5,
-            decay_increment: 0.001,
-            decay_reset_interval: 5,
-            front_cap: 16,
-            rescan_interval: 128,
-        }
-    }
-}
+/// Number of upcoming gates in the extended (lookahead) set.
+const EXTENDED_SIZE: usize = 20;
+/// Weight of the extended set in the heuristic.
+const EXTENDED_WEIGHT: f64 = 0.5;
+/// Decay added to a qubit each time it participates in a SWAP.
+const DECAY_INCREMENT: f64 = 0.001;
+/// SWAPs between decay resets.
+const DECAY_RESET_INTERVAL: u32 = 5;
+/// Front-layer gates considered for SWAP candidates and scoring (caps the
+/// per-decision cost on very wide circuits).
+const FRONT_CAP: usize = 16;
+/// Gate completions between full front rescans. Between rescans only gates
+/// touching swapped positions execute incrementally; a rescan drains
+/// everything executable, refreshes the capped front layer and the
+/// extended set. Small values track the front closely but pay the
+/// O(ready) rebuild often; large values go stale on wide all-commuting
+/// fronts and pick worse swaps.
+///
+/// 128 comes from a wall-clock sweep over {16, 32, 64, 128, 256, 512,
+/// 1024} on the 441-qubit device across QFT/QAOA/BV/rand-dense (see
+/// `DESIGN.md` §8.4): 128 routed 1–3% faster than the previous 256 on
+/// every family, with byte-identical output on QFT/BV/rand-dense and a
+/// 2.4% depth increase on QAOA. Below 64 wall-clock degrades sharply (the
+/// rebuild dominates); above 256 nothing changes (fronts go stale first).
+const RESCAN_INTERVAL: usize = 128;
 
 /// Routes `circuit` onto `topo` with the SABRE heuristic and a trivial
 /// initial layout (logical `i` on physical `i`), returning the scheduled
@@ -79,18 +64,13 @@ impl Default for SabreConfig {
 /// ```
 /// use mech_chiplet::{ChipletSpec, CostModel};
 /// use mech_circuit::benchmarks::qft;
-/// use mech_router::{sabre_route, SabreConfig};
+/// use mech_router::sabre_route;
 ///
 /// let topo = ChipletSpec::square(4, 1, 1).build();
-/// let pc = sabre_route(&qft(8), &topo, CostModel::default(), SabreConfig::default());
+/// let pc = sabre_route(&qft(8), &topo, CostModel::default());
 /// assert!(pc.depth() > 0);
 /// ```
-pub fn sabre_route(
-    circuit: &Circuit,
-    topo: &Topology,
-    cost: CostModel,
-    config: SabreConfig,
-) -> PhysCircuit {
+pub fn sabre_route(circuit: &Circuit, topo: &Topology, cost: CostModel) -> PhysCircuit {
     assert!(
         circuit.num_qubits() <= topo.num_qubits(),
         "circuit needs {} qubits but device has {}",
@@ -124,7 +104,7 @@ pub fn sabre_route(
     let mut need_scan = true;
 
     while !sched.is_finished() {
-        if need_scan || completions_since_scan >= config.rescan_interval || front.is_empty() {
+        if need_scan || completions_since_scan >= RESCAN_INTERVAL || front.is_empty() {
             // Full scan: execute everything executable, then rebuild the
             // caches from the blocked remainder.
             let mut progressed = true;
@@ -168,7 +148,7 @@ pub fn sabre_route(
                 let Gate::Two { a, b, .. } = circuit.gates()[id.index()] else {
                     unreachable!("front is partitioned by kind");
                 };
-                if front.len() < config.front_cap {
+                if front.len() < FRONT_CAP {
                     front.push((id, a, b));
                 }
                 qubit_gates[a.index()].push(id);
@@ -184,7 +164,7 @@ pub fn sabre_route(
             }
             extended.clear();
             for idx in extended_cursor..circuit.len() {
-                if extended.len() >= config.extended_size {
+                if extended.len() >= EXTENDED_SIZE {
                     break;
                 }
                 let id = GateId(idx as u32);
@@ -255,7 +235,7 @@ pub fn sabre_route(
                     / extended.len() as f64
             };
             let d = decay[swap.0.index()].max(decay[swap.1.index()]);
-            let score = d * (f_score + config.extended_weight * e_score);
+            let score = d * (f_score + EXTENDED_WEIGHT * e_score);
             if best.is_none_or(|(_, s)| score < s) {
                 best = Some((swap, score));
             }
@@ -264,10 +244,10 @@ pub fn sabre_route(
         let ((sa, sb), _) = best.expect("front-layer qubits always offer a swap");
         pc.swap(topo, sa, sb);
         mapping.swap_phys(sa, sb);
-        decay[sa.index()] += config.decay_increment;
-        decay[sb.index()] += config.decay_increment;
+        decay[sa.index()] += DECAY_INCREMENT;
+        decay[sb.index()] += DECAY_INCREMENT;
         swaps_since_reset += 1;
-        if swaps_since_reset >= config.decay_reset_interval {
+        if swaps_since_reset >= DECAY_RESET_INTERVAL {
             decay.iter_mut().for_each(|d| *d = 1.0);
             swaps_since_reset = 0;
         }
@@ -338,7 +318,7 @@ mod tests {
         let topo = device();
         let mut c = Circuit::new(2);
         c.cnot(Qubit(0), Qubit(1)).unwrap();
-        let pc = sabre_route(&c, &topo, CostModel::default(), SabreConfig::default());
+        let pc = sabre_route(&c, &topo, CostModel::default());
         assert_eq!(pc.counts().on_chip_cnots, 1);
     }
 
@@ -348,7 +328,7 @@ mod tests {
         let mut c = Circuit::new(topo.num_qubits());
         // Qubit 0 (corner) with the far corner.
         c.cnot(Qubit(0), Qubit(topo.num_qubits() - 1)).unwrap();
-        let pc = sabre_route(&c, &topo, CostModel::default(), SabreConfig::default());
+        let pc = sabre_route(&c, &topo, CostModel::default());
         let total = pc.counts().on_chip_cnots + pc.counts().cross_chip_cnots;
         assert!(total > 1, "needs swaps, got {total} gates");
         assert_eq!((total - 1) % 3, 0, "swap gates come in threes");
@@ -360,7 +340,7 @@ mod tests {
         for seed in 0..3 {
             let c = random_circuit(topo.num_qubits(), 120, seed);
             let stats: CircuitStats = c.stats();
-            let pc = sabre_route(&c, &topo, CostModel::default(), SabreConfig::default());
+            let pc = sabre_route(&c, &topo, CostModel::default());
             assert_eq!(pc.counts().measurements as usize, stats.measurements);
             // Every emitted 2q op acts on coupled qubits (two_qubit panics
             // otherwise), so reaching here means the routing is valid.
@@ -371,13 +351,8 @@ mod tests {
     #[test]
     fn qft_routes_and_grows_with_size() {
         let topo = device();
-        let small = sabre_route(&qft(8), &topo, CostModel::default(), SabreConfig::default());
-        let large = sabre_route(
-            &qft(16),
-            &topo,
-            CostModel::default(),
-            SabreConfig::default(),
-        );
+        let small = sabre_route(&qft(8), &topo, CostModel::default());
+        let large = sabre_route(&qft(16), &topo, CostModel::default());
         assert!(large.depth() > small.depth());
         assert!(large.eff_cnots() > small.eff_cnots());
     }
@@ -385,12 +360,7 @@ mod tests {
     #[test]
     fn bv_depth_scales_with_distance_not_gates() {
         let topo = ChipletSpec::square(5, 1, 2).build();
-        let pc = sabre_route(
-            &bernstein_vazirani(20, 3),
-            &topo,
-            CostModel::default(),
-            SabreConfig::default(),
-        );
+        let pc = sabre_route(&bernstein_vazirani(20, 3), &topo, CostModel::default());
         assert!(pc.depth() > 0);
     }
 
@@ -399,15 +369,15 @@ mod tests {
     fn oversized_circuit_panics() {
         let topo = ChipletSpec::square(3, 1, 1).build();
         let c = Circuit::new(100);
-        sabre_route(&c, &topo, CostModel::default(), SabreConfig::default());
+        sabre_route(&c, &topo, CostModel::default());
     }
 
     #[test]
     fn deterministic_output() {
         let topo = device();
         let c = random_circuit(topo.num_qubits(), 80, 9);
-        let a = sabre_route(&c, &topo, CostModel::default(), SabreConfig::default());
-        let b = sabre_route(&c, &topo, CostModel::default(), SabreConfig::default());
+        let a = sabre_route(&c, &topo, CostModel::default());
+        let b = sabre_route(&c, &topo, CostModel::default());
         assert_eq!(a.depth(), b.depth());
         assert_eq!(a.counts(), b.counts());
     }

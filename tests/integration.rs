@@ -176,3 +176,45 @@ fn deeper_highway_density_reduces_depth_ratio() {
         "density 2 should not degrade the depth ratio much: {ratios:?}"
     );
 }
+
+/// Fig. 13(a) path: a non-default measurement latency reaches every
+/// measurement both compilers emit, and MECH's depth pays for it (every
+/// highway shuttle measures).
+#[test]
+fn measurement_latency_sets_measure_duration_and_mech_depth() {
+    let device = DeviceSpec::square(5, 2, 2).cached();
+    let n = device.num_data_qubits();
+    for bench in Benchmark::ALL {
+        let program = bench.generate(n, 2024);
+        let mut mech_depths = Vec::new();
+        for meas_latency in [1u32, 2, 20] {
+            let config = CompilerConfig {
+                cost: mech::CostModel {
+                    meas_latency,
+                    ..mech::CostModel::default()
+                },
+                ..CompilerConfig::default()
+            };
+            let m = MechCompiler::new(device.clone(), config)
+                .compile(&program)
+                .unwrap_or_else(|e| panic!("{bench} at latency {meas_latency}: {e}"));
+            let b = BaselineCompiler::new(device.topology(), config)
+                .compile(&program)
+                .unwrap_or_else(|e| panic!("{bench} baseline at latency {meas_latency}: {e}"));
+            for (who, pc) in [("mech", &m.circuit), ("baseline", &b)] {
+                for op in pc.ops().iter().filter(|op| op.kind == PhysOpKind::Measure) {
+                    assert_eq!(
+                        op.duration, meas_latency,
+                        "{bench} {who}: measure lasts {} at latency {meas_latency}",
+                        op.duration
+                    );
+                }
+            }
+            mech_depths.push(m.circuit.depth());
+        }
+        assert!(
+            mech_depths.windows(2).all(|w| w[0] < w[1]),
+            "{bench}: MECH depth must grow with measurement latency, got {mech_depths:?}"
+        );
+    }
+}

@@ -11,8 +11,7 @@ use mech_chiplet::{
 };
 use mech_circuit::benchmarks::random_circuit;
 use mech_circuit::{
-    aggregate_controlled, commutes, AggregateOptions, Circuit, CommutationDag, Gate, GateId,
-    OneQubitGate,
+    aggregate_controlled, commutes, Circuit, CommutationDag, Gate, GateId, OneQubitGate,
 };
 use mech_router::Mapping;
 
@@ -119,7 +118,11 @@ proptest! {
         let dag = CommutationDag::new(&program);
         let sched = dag.schedule();
         let ready: Vec<GateId> = sched.ready_snapshot();
-        let (groups, rest) = aggregate_controlled(&program, &ready, AggregateOptions::default());
+        let (groups, rest) = aggregate_controlled(
+            &program,
+            &ready,
+            CompilerConfig::default().min_components,
+        );
 
         let mut seen = std::collections::HashSet::new();
         for g in &groups {
