@@ -5,7 +5,7 @@
 //!   off-highway. Too low wastes shuttles on tiny bundles; too high strands
 //!   medium bundles in SWAP routing.
 //! * `entrance_candidates` — how many entrances each data qubit considers
-//!   (a device-spec knob: each setting is a distinct cached device).
+//!   (a device-spec knob: each setting is a distinct device).
 //!   One candidate forfeits the earliest-execution selection of §6.1.
 //!
 //! Usage: `cargo run --release -p mech-bench --bin ablation [-- --quick --csv]`

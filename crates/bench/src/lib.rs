@@ -272,10 +272,9 @@ impl RunOutcome {
     }
 }
 
-/// Fetches the device named by `spec` from the global artifact cache,
-/// generates `bench` at the data-region width, and compiles it with both
-/// pipelines. Cells sharing a device spec (across benchmarks, seeds and
-/// configs) share one artifact bundle.
+/// Builds the device named by `spec`, generates `bench` at the
+/// data-region width, and compiles it with both pipelines, which share
+/// the one artifact bundle.
 ///
 /// # Panics
 ///
@@ -287,7 +286,7 @@ pub fn run_cell(
     seed: u64,
     config: CompilerConfig,
 ) -> RunOutcome {
-    let device = spec.cached();
+    let device = spec.build_artifacts();
     let n = device.num_data_qubits();
     let program = bench.generate(n, seed);
 

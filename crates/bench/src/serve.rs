@@ -411,7 +411,7 @@ impl Shared {
 /// use mech_bench::serve::{CompileService, ServeOptions};
 /// use mech_circuit::benchmarks::Benchmark;
 ///
-/// let device = DeviceSpec::square(5, 1, 2).cached();
+/// let device = DeviceSpec::square(5, 1, 2).build_artifacts();
 /// let program = Arc::new(Benchmark::Bv.generate(device.num_data_qubits(), 1));
 /// let service = CompileService::start(
 ///     device,
@@ -1071,6 +1071,44 @@ mod tests {
         assert_eq!(stats.served, 7);
         assert_eq!(stats.submitted, stats.served + stats.shed + stats.failed);
         assert_eq!(stats.epoch, 1);
+    }
+
+    #[test]
+    fn reconfigure_with_a_panicking_build_keeps_the_old_epoch() {
+        let device = DeviceSpec::square(5, 1, 2).build_artifacts();
+        let config = CompilerConfig::default();
+        let program = Arc::new(programs::qft(device.num_data_qubits().min(16)));
+        let direct = MechCompiler::new(Arc::clone(&device), config)
+            .compile(&program)
+            .unwrap();
+        let service = CompileService::start(
+            Arc::clone(&device),
+            config,
+            ServeOptions {
+                workers: 1,
+                ..ServeOptions::default()
+            },
+        );
+
+        // Density 0 is rejected by the highway layout: the build panics on
+        // the builder thread, before anything is installed.
+        let invalid = DeviceSpec::square(6, 2, 2).with_density(0);
+        assert_eq!(
+            service.reconfigure(invalid).wait(),
+            Err(ServeError::WorkerLost)
+        );
+        assert_eq!(service.stats().epoch, 0);
+
+        // The service keeps serving the old bundle, bit-identically.
+        let got = service
+            .submit(Arc::clone(&program))
+            .unwrap()
+            .wait()
+            .unwrap()
+            .result
+            .expect("old-epoch compile");
+        assert_eq!(got.circuit.ops(), direct.circuit.ops());
+        assert_eq!(service.shutdown().epoch, 0);
     }
 
     #[test]

@@ -28,7 +28,7 @@ use crate::ids::PhysQubit;
 /// Order-insensitive by construction: qubits live in a sorted set and
 /// links are normalized to `(min, max)`, so two maps describing the same
 /// defects are `Eq` and hash identically — [`DefectMap`] participates in
-/// device-cache keys.
+/// device-spec equality.
 ///
 /// # Example
 ///

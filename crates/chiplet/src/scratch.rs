@@ -4,8 +4,8 @@
 //! two-qubit gate and per highway claim. Allocating device-sized cost
 //! arrays for each search dominates small-search cost, so
 //! [`RoutingScratch`] keeps the arrays alive across searches and
-//! invalidates them in O(1) with a generation counter: a slot's stored
-//! cost is valid only when its stamp equals the current generation.
+//! invalidates them in O(1) with a [`StampMap`]: a slot's stored cost is
+//! valid only when its stamp equals the current generation.
 //!
 //! Costs are lexicographic `(primary, secondary)` pairs so one workspace
 //! serves both the local router (swap cost, untied) and the highway
@@ -192,7 +192,7 @@ pub type SearchCost = (u32, u32);
 /// Cost value marking an unreached node.
 pub const UNREACHED: SearchCost = (u32::MAX, u32::MAX);
 
-/// Generation-stamped cost arrays plus a reusable priority queue.
+/// A generation-stamped cost map plus a reusable priority queue.
 ///
 /// # Example
 ///
@@ -208,9 +208,7 @@ pub const UNREACHED: SearchCost = (u32::MAX, u32::MAX);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct RoutingScratch {
-    generation: u32,
-    stamp: Vec<u32>,
-    cost: Vec<SearchCost>,
+    cost: StampMap<SearchCost>,
     /// Min-heap of `(cost, node)` entries (via `Reverse`).
     pub heap: BinaryHeap<Reverse<(SearchCost, PhysQubit)>>,
     /// Reusable path buffer for searches that return node sequences.
@@ -224,33 +222,24 @@ impl RoutingScratch {
     /// Starts a fresh search over `n` nodes: clears the queue and
     /// invalidates all stored costs without touching the arrays.
     pub fn begin(&mut self, n: usize) {
-        if self.stamp.len() < n {
-            self.stamp.resize(n, 0);
-            self.cost.resize(n, UNREACHED);
-        }
+        self.cost.begin(n);
         self.heap.clear();
-        self.generation = self.generation.wrapping_add(1);
-        if self.generation == 0 {
-            // Wrapped: stamps from 2^32 searches ago could alias. Reset.
-            self.stamp.fill(0);
-            self.generation = 1;
-        }
     }
 
     /// The cost recorded for `q` in the current search ([`UNREACHED`] if
     /// never set since [`RoutingScratch::begin`]).
+    // `#[inline]` here and on `set_cost`: the search kernels call both once
+    // per relaxation from another codegen unit, where a non-leaf wrapper
+    // over `StampMap` is not inlined on its own.
+    #[inline]
     pub fn cost(&self, q: PhysQubit) -> SearchCost {
-        if self.stamp[q.index()] == self.generation {
-            self.cost[q.index()]
-        } else {
-            UNREACHED
-        }
+        self.cost.get(q).unwrap_or(UNREACHED)
     }
 
     /// Records `cost` for `q` in the current search.
+    #[inline]
     pub fn set_cost(&mut self, q: PhysQubit, cost: SearchCost) {
-        self.stamp[q.index()] = self.generation;
-        self.cost[q.index()] = cost;
+        self.cost.insert(q, cost);
     }
 
     /// `true` if `q` carries a recorded cost in the current search.

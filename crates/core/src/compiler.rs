@@ -106,8 +106,8 @@ impl CompileResult {
 /// use mech_circuit::benchmarks::bernstein_vazirani;
 ///
 /// # fn main() -> Result<(), mech::CompileError> {
-/// // A 2×2 array of 6×6 square chiplets, from the global device cache.
-/// let device = DeviceSpec::square(6, 2, 2).cached();
+/// // A 2×2 array of 6×6 square chiplets, built once and shared via `Arc`.
+/// let device = DeviceSpec::square(6, 2, 2).build_artifacts();
 /// let compiler = MechCompiler::new(device.clone(), CompilerConfig::default());
 /// let program = bernstein_vazirani(device.num_data_qubits().min(40), 7);
 /// let result = compiler.compile(&program)?;

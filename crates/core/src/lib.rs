@@ -16,9 +16,9 @@
 //! use mech_circuit::benchmarks::qft;
 //!
 //! # fn main() -> Result<(), mech::CompileError> {
-//! // A 2×2 array of 6×6 square chiplets, memoized in the device cache:
-//! // every caller naming this spec shares one immutable artifact bundle.
-//! let device = DeviceSpec::square(6, 2, 2).cached();
+//! // A 2×2 array of 6×6 square chiplets, built once into an immutable
+//! // artifact bundle that every compile against it shares via `Arc`.
+//! let device = DeviceSpec::square(6, 2, 2).build_artifacts();
 //!
 //! let program = qft(40);
 //! let config = CompilerConfig::default();
@@ -55,8 +55,7 @@ pub use baseline::BaselineCompiler;
 pub use compiler::{CompileResult, CompileSession, MechCompiler, STALL_ROUND_LIMIT};
 pub use config::{BudgetExceeded, CompileBudget, CompilerConfig, GhzStyle};
 pub use device::{
-    DeviceArtifacts, DeviceCache, DeviceSpec, DEFAULT_DEVICE_CACHE_CAPACITY,
-    DEFAULT_ENTRANCE_CANDIDATES, DEFAULT_HIGHWAY_DENSITY,
+    DeviceArtifacts, DeviceSpec, DEFAULT_ENTRANCE_CANDIDATES, DEFAULT_HIGHWAY_DENSITY,
 };
 pub use error::CompileError;
 pub use metrics::Metrics;

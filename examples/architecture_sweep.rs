@@ -17,7 +17,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     for structure in CouplingStructure::ALL {
-        let device = DeviceSpec::new(ChipletSpec::new(structure, 8, 2, 2)).cached();
+        let device = DeviceSpec::new(ChipletSpec::new(structure, 8, 2, 2)).build_artifacts();
         let layout = device.layout();
         let bridges = layout
             .edges()

@@ -10,7 +10,7 @@ use mech::{BaselineCompiler, CompilerConfig, DeviceSpec, MechCompiler, Metrics};
 use mech_circuit::benchmarks::bernstein_vazirani;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let device = DeviceSpec::square(6, 2, 2).cached();
+    let device = DeviceSpec::square(6, 2, 2).build_artifacts();
     let config = CompilerConfig::default();
     let mech = MechCompiler::new(device.clone(), config);
     let baseline = BaselineCompiler::new(device.topology(), config);

@@ -14,7 +14,7 @@ use rand::SeedableRng;
 
 fn main() {
     for structure in CouplingStructure::ALL {
-        let device = DeviceSpec::new(ChipletSpec::new(structure, 7, 1, 2)).cached();
+        let device = DeviceSpec::new(ChipletSpec::new(structure, 7, 1, 2)).build_artifacts();
         let layout = device.layout();
         println!(
             "== {} (1x2 array of 7x7 chiplets, {} highway qubits = {:.1}%)",

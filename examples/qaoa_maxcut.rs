@@ -9,7 +9,7 @@ use mech::{BaselineCompiler, CompilerConfig, DeviceSpec, MechCompiler, Metrics};
 use mech_circuit::benchmarks::{qaoa_maxcut, random_maxcut_graph};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let device = DeviceSpec::square(7, 2, 2).cached();
+    let device = DeviceSpec::square(7, 2, 2).build_artifacts();
     let n = device.num_data_qubits().min(120);
 
     let edges = random_maxcut_graph(n, 7);

@@ -7,10 +7,11 @@ use mech::{BaselineCompiler, CompilerConfig, DeviceSpec, MechCompiler, Metrics};
 use mech_circuit::benchmarks::qft;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // 1. Name the hardware: a 2×2 array of 6×6 square chiplets. `cached()`
-    //    builds the immutable device tier (topology, highway layout,
-    //    entrance table) once and shares it with every later caller.
-    let device = DeviceSpec::square(6, 2, 2).cached();
+    // 1. Name the hardware: a 2×2 array of 6×6 square chiplets.
+    //    `build_artifacts()` builds the immutable device tier (topology,
+    //    highway layout, entrance table) once; share the returned `Arc`
+    //    with every compile against this device.
+    let device = DeviceSpec::square(6, 2, 2).build_artifacts();
     let topo = device.topology();
     println!(
         "device: {} qubits on {} chiplets ({} cross-chip links)",

@@ -52,7 +52,7 @@ impl Drop for Armed {
 }
 
 fn device() -> Arc<mech::DeviceArtifacts> {
-    DeviceSpec::square(5, 1, 2).cached()
+    DeviceSpec::square(5, 1, 2).build_artifacts()
 }
 
 fn workload(device: &mech::DeviceArtifacts) -> Circuit {

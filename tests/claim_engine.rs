@@ -258,7 +258,7 @@ proptest! {
 /// instead of one per candidate entrance, as the seed engine ran).
 #[test]
 fn qft_compile_searches_drop_below_candidate_count() {
-    let device = mech::DeviceSpec::square(6, 2, 2).cached();
+    let device = mech::DeviceSpec::square(6, 2, 2).build_artifacts();
     let n = device.num_data_qubits();
     let compiler = MechCompiler::new(device, CompilerConfig::default());
     let r = compiler.compile(&programs::qft(n)).expect("compiles");

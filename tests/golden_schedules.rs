@@ -17,7 +17,9 @@
 //! `MECH_GOLDEN_PRINT=1 cargo test --test golden_schedules -- --nocapture`
 //! and paste the printed fingerprints below.
 
-use mech::{CompilerConfig, DeviceSpec, MechCompiler};
+use std::sync::Arc;
+
+use mech::{CompilerConfig, DeviceArtifacts, DeviceSpec, MechCompiler};
 use mech_bench::programs;
 use mech_chiplet::{ChipletSpec, CouplingStructure, DefectMap};
 use mech_circuit::{benchmarks, Circuit};
@@ -26,14 +28,8 @@ use mech_circuit::{benchmarks, Circuit};
 /// comparable string. Deliberately excludes the raw op list: op *emission
 /// order* between commuting free one-qubit gates is not part of the
 /// schedule contract, while every timed quantity below is.
-///
-/// Devices come from the global artifact cache, so the golden runs also
-/// pin the contract that a cache-shared `DeviceArtifacts` bundle compiles
-/// identically to a freshly built one (asserted directly in
-/// `tests/shared_artifacts.rs`).
-fn fingerprint(spec: &DeviceSpec, program: &Circuit, config: CompilerConfig) -> String {
-    let device = spec.cached();
-    let compiler = MechCompiler::new(device, config);
+fn fingerprint(device: &Arc<DeviceArtifacts>, program: &Circuit, config: CompilerConfig) -> String {
+    let compiler = MechCompiler::new(Arc::clone(device), config);
     let r = compiler.compile(program).expect("golden program compiles");
     let c = r.circuit.counts();
     let mut fp = format!(
@@ -58,18 +54,18 @@ fn fingerprint(spec: &DeviceSpec, program: &Circuit, config: CompilerConfig) -> 
 }
 
 /// Asserts the fingerprint matches, or prints it when regenerating.
-fn check(name: &str, spec: &DeviceSpec, program: &Circuit, golden: &str) {
-    check_with(name, spec, program, CompilerConfig::default(), golden);
+fn check(name: &str, device: &Arc<DeviceArtifacts>, program: &Circuit, golden: &str) {
+    check_with(name, device, program, CompilerConfig::default(), golden);
 }
 
 fn check_with(
     name: &str,
-    spec: &DeviceSpec,
+    device: &Arc<DeviceArtifacts>,
     program: &Circuit,
     config: CompilerConfig,
     golden: &str,
 ) {
-    let actual = fingerprint(spec, program, config);
+    let actual = fingerprint(device, program, config);
     if std::env::var_os("MECH_GOLDEN_PRINT").is_some() {
         println!("GOLDEN {name} = {actual}");
         return;
@@ -80,42 +76,38 @@ fn check_with(
     );
 }
 
-fn data_width(spec: &DeviceSpec) -> u32 {
-    spec.cached().num_data_qubits()
-}
-
 #[test]
 fn golden_qft_6x6_2x2() {
-    let dev = DeviceSpec::square(6, 2, 2);
-    let n = data_width(&dev);
+    let dev = DeviceSpec::square(6, 2, 2).build_artifacts();
+    let n = dev.num_data_qubits();
     check("qft_6x6_2x2", &dev, &programs::qft(n), GOLDEN_QFT);
 }
 
 #[test]
 fn golden_qaoa_6x6_2x2() {
-    let dev = DeviceSpec::square(6, 2, 2);
-    let n = data_width(&dev);
+    let dev = DeviceSpec::square(6, 2, 2).build_artifacts();
+    let n = dev.num_data_qubits();
     check("qaoa_6x6_2x2", &dev, &programs::qaoa(n), GOLDEN_QAOA);
 }
 
 #[test]
 fn golden_vqe_6x6_2x2() {
-    let dev = DeviceSpec::square(6, 2, 2);
-    let n = data_width(&dev);
+    let dev = DeviceSpec::square(6, 2, 2).build_artifacts();
+    let n = dev.num_data_qubits();
     check("vqe_6x6_2x2", &dev, &programs::vqe(n), GOLDEN_VQE);
 }
 
 #[test]
 fn golden_bv_6x6_2x2() {
-    let dev = DeviceSpec::square(6, 2, 2);
-    let n = data_width(&dev);
+    let dev = DeviceSpec::square(6, 2, 2).build_artifacts();
+    let n = dev.num_data_qubits();
     check("bv_6x6_2x2", &dev, &programs::bv(n), GOLDEN_BV);
 }
 
 #[test]
 fn golden_random_6x6_2x2() {
-    let dev = DeviceSpec::square(6, 2, 2);
-    let n = data_width(&dev);
+    let dev = DeviceSpec::square(6, 2, 2).build_artifacts();
+    let n = dev.num_data_qubits();
     check(
         "random_6x6_2x2",
         &dev,
@@ -131,8 +123,9 @@ fn golden_qft_heavy_hex_8x8_2x2() {
     // carve, entrance and claim geometry the square goldens never touch.
     // Captured after the CSR routing-substrate refactor (PR 5) — it locks
     // in the kernel layer's canonical tie-breaks on irregular lattices.
-    let dev = DeviceSpec::new(ChipletSpec::new(CouplingStructure::HeavyHexagon, 8, 2, 2));
-    let n = data_width(&dev);
+    let dev = DeviceSpec::new(ChipletSpec::new(CouplingStructure::HeavyHexagon, 8, 2, 2))
+        .build_artifacts();
+    let n = dev.num_data_qubits();
     check(
         "qft_heavyhex_8x8_2x2",
         &dev,
@@ -146,8 +139,10 @@ fn golden_qft_with_empty_defect_map_is_byte_identical() {
     // The defect model's zero-cost rail (DESIGN.md §13): attaching an
     // *empty* defect map is not allowed to change one byte of the compiled
     // schedule — same golden constant, no separate fingerprint.
-    let dev = DeviceSpec::square(6, 2, 2).with_defects(DefectMap::new());
-    let n = data_width(&dev);
+    let dev = DeviceSpec::square(6, 2, 2)
+        .with_defects(DefectMap::new())
+        .build_artifacts();
+    let n = dev.num_data_qubits();
     check(
         "qft_6x6_2x2_empty_defects",
         &dev,
@@ -160,8 +155,10 @@ fn golden_qft_with_empty_defect_map_is_byte_identical() {
 fn golden_qft_dense_highway_7x7_1x2() {
     // A second device shape and a denser highway exercise different claim
     // geometry and entrance tables.
-    let dev = DeviceSpec::square(7, 1, 2).with_density(2);
-    let n = data_width(&dev);
+    let dev = DeviceSpec::square(7, 1, 2)
+        .with_density(2)
+        .build_artifacts();
+    let n = dev.num_data_qubits();
     check("qft_7x7_1x2_d2", &dev, &programs::qft(n), GOLDEN_QFT_DENSE);
 }
 
@@ -171,8 +168,8 @@ fn golden_regular_heavy_6x6_2x2() {
     // (huge `min_components`) nearly every two-qubit gate goes through the
     // regular phase, so this pins SWAP routing and the forced-progress
     // fallback rather than the highway.
-    let dev = DeviceSpec::square(6, 2, 2);
-    let n = data_width(&dev);
+    let dev = DeviceSpec::square(6, 2, 2).build_artifacts();
+    let n = dev.num_data_qubits();
     let config = CompilerConfig {
         min_components: 64,
         ..CompilerConfig::default()

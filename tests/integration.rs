@@ -12,7 +12,7 @@ fn compile_pair(
     spec: DeviceSpec,
     program: &mech_circuit::Circuit,
 ) -> (mech::CompileResult, Metrics) {
-    let device = spec.cached();
+    let device = spec.build_artifacts();
     let config = CompilerConfig::default();
     let m = MechCompiler::new(device.clone(), config)
         .compile(program)
@@ -26,7 +26,7 @@ fn compile_pair(
 #[test]
 fn every_benchmark_compiles_on_every_structure() {
     for structure in CouplingStructure::ALL {
-        let device = DeviceSpec::new(ChipletSpec::new(structure, 6, 2, 2)).cached();
+        let device = DeviceSpec::new(ChipletSpec::new(structure, 6, 2, 2)).build_artifacts();
         let n = device.num_data_qubits().min(24);
         for bench in Benchmark::ALL {
             let program = bench.generate(n, 3);
@@ -41,7 +41,7 @@ fn every_benchmark_compiles_on_every_structure() {
 
 #[test]
 fn compiled_ops_respect_the_coupling_graph() {
-    let device = DeviceSpec::square(6, 2, 2).cached();
+    let device = DeviceSpec::square(6, 2, 2).build_artifacts();
     let topo = device.topology();
     let program = qft(device.num_data_qubits().min(40));
     let r = MechCompiler::new(device.clone(), CompilerConfig::default())
@@ -88,7 +88,7 @@ fn mech_reduces_eff_cnots_on_qaoa_at_scale() {
     // eff_CNOT win only appears beyond ~200 qubits (cf. paper Fig. 12b,
     // where the 4-chiplet point dips toward zero).
     let spec = DeviceSpec::square(7, 2, 3);
-    let program = qaoa_maxcut(spec.cached().num_data_qubits(), 1, 9);
+    let program = qaoa_maxcut(spec.build_artifacts().num_data_qubits(), 1, 9);
     let (m, b) = compile_pair(spec, &program);
     let eff = m.metrics().eff_cnots_improvement_over(&b);
     assert!(
@@ -118,7 +118,7 @@ fn improvements_grow_with_scale_on_vqe() {
 
 #[test]
 fn measurement_counts_cover_program_measurements() {
-    let device = DeviceSpec::square(5, 2, 2).cached();
+    let device = DeviceSpec::square(5, 2, 2).build_artifacts();
     let n = device.num_data_qubits().min(30);
     let program = qft(n);
     let r = MechCompiler::new(device, CompilerConfig::default())
@@ -130,7 +130,7 @@ fn measurement_counts_cover_program_measurements() {
 
 #[test]
 fn bv_oracle_rides_one_shuttle_at_scale() {
-    let device = DeviceSpec::square(7, 2, 2).cached();
+    let device = DeviceSpec::square(7, 2, 2).build_artifacts();
     let program = bernstein_vazirani(device.num_data_qubits(), 11);
     let r = MechCompiler::new(device, CompilerConfig::default())
         .compile(&program)
@@ -160,7 +160,9 @@ fn sparse_cross_links_hurt_baseline_more_than_mech() {
 fn deeper_highway_density_reduces_depth_ratio() {
     let mut ratios = Vec::new();
     for density in [1u32, 2] {
-        let device = DeviceSpec::square(9, 1, 2).with_density(density).cached();
+        let device = DeviceSpec::square(9, 1, 2)
+            .with_density(density)
+            .build_artifacts();
         let config = CompilerConfig::default();
         let program = qft(device.num_data_qubits().min(80));
         let m = MechCompiler::new(device.clone(), config)
@@ -182,7 +184,7 @@ fn deeper_highway_density_reduces_depth_ratio() {
 /// highway shuttle measures).
 #[test]
 fn measurement_latency_sets_measure_duration_and_mech_depth() {
-    let device = DeviceSpec::square(5, 2, 2).cached();
+    let device = DeviceSpec::square(5, 2, 2).build_artifacts();
     let n = device.num_data_qubits();
     for bench in Benchmark::ALL {
         let program = bench.generate(n, 2024);

@@ -35,7 +35,7 @@ proptest! {
         gates in 20usize..120,
         d in 5u32..7,
     ) {
-        let device = mech::DeviceSpec::square(d, 2, 2).cached();
+        let device = mech::DeviceSpec::square(d, 2, 2).build_artifacts();
         let topo = device.topology();
         let n = device.num_data_qubits().min(30);
         let program = random_circuit(n, gates, seed);
@@ -240,7 +240,7 @@ proptest! {
     /// op stream and final placement.
     #[test]
     fn angles_never_change_the_schedule(seed in 0u64..u64::MAX) {
-        let device = mech::DeviceSpec::square(6, 2, 2).cached();
+        let device = mech::DeviceSpec::square(6, 2, 2).build_artifacts();
         let n = device.num_data_qubits();
         let compiler = MechCompiler::new(device, CompilerConfig::default());
         for program in [programs::qft(n), programs::qaoa(n), programs::vqe(n)] {

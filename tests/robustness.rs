@@ -20,7 +20,7 @@ use mech_circuit::{Circuit, Gate, OneQubitGate, Qubit, TwoQubitKind};
 /// The paper's 441-qubit evaluation device: a 3×3 array of 7×7 square
 /// chiplets.
 fn device_441q() -> Arc<mech::DeviceArtifacts> {
-    DeviceSpec::square(7, 3, 3).cached()
+    DeviceSpec::square(7, 3, 3).build_artifacts()
 }
 
 #[test]
@@ -80,7 +80,7 @@ fn mid_compile_cancellation_surfaces_as_cancelled() {
 
 #[test]
 fn unlimited_budget_compiles_bit_identically_to_no_budget() {
-    let device = DeviceSpec::square(6, 2, 2).cached();
+    let device = DeviceSpec::square(6, 2, 2).build_artifacts();
     let compiler = MechCompiler::new(device.clone(), CompilerConfig::default());
     let program = qft(device.num_data_qubits().min(40));
     let plain = compiler.compile(&program).unwrap();
@@ -101,7 +101,7 @@ fn unlimited_budget_compiles_bit_identically_to_no_budget() {
 
 #[test]
 fn hand_built_invalid_circuits_error_instead_of_panicking() {
-    let device = DeviceSpec::square(5, 1, 1).cached();
+    let device = DeviceSpec::square(5, 1, 1).build_artifacts();
     let compiler = MechCompiler::new(device.clone(), CompilerConfig::default());
 
     // Out-of-range operand smuggled past push() via Extend.
@@ -163,7 +163,7 @@ proptest! {
         num_qubits in 1u32..24,
         gates in proptest::collection::vec(arb_raw_gate(32), 0..40),
     ) {
-        let device = DeviceSpec::square(5, 1, 1).cached();
+        let device = DeviceSpec::square(5, 1, 1).build_artifacts();
         let compiler = MechCompiler::new(device.clone(), CompilerConfig::default());
         let mut circuit = Circuit::new(num_qubits);
         circuit.extend(gates);

@@ -16,7 +16,7 @@ use mech_bench::{programs, verify};
 use mech_sim::VerifyError;
 
 fn device_441q() -> Arc<mech::DeviceArtifacts> {
-    DeviceSpec::square(7, 3, 3).cached()
+    DeviceSpec::square(7, 3, 3).build_artifacts()
 }
 
 #[test]
@@ -57,7 +57,7 @@ fn trace_recording_never_changes_the_schedule() {
     // The semantic trace is a side channel: with recording on, the emitted
     // ops must stay byte-identical — which is also what keeps the goldens
     // valid for verified compiles.
-    let device = DeviceSpec::square(5, 1, 2).cached();
+    let device = DeviceSpec::square(5, 1, 2).build_artifacts();
     let n = device.num_data_qubits();
     for (family, gen) in programs::CLIFFORD_FAMILIES {
         let program = gen(n);
@@ -82,7 +82,7 @@ fn trace_recording_never_changes_the_schedule() {
 
 #[test]
 fn non_clifford_programs_are_screened_not_verified() {
-    let device = DeviceSpec::square(5, 1, 2).cached();
+    let device = DeviceSpec::square(5, 1, 2).build_artifacts();
     let n = device.num_data_qubits();
     let program = programs::qft(n.min(12));
     let result = MechCompiler::new(
@@ -100,7 +100,7 @@ fn non_clifford_programs_are_screened_not_verified() {
 
 #[test]
 fn unrecorded_schedules_report_a_missing_trace() {
-    let device = DeviceSpec::square(5, 1, 2).cached();
+    let device = DeviceSpec::square(5, 1, 2).build_artifacts();
     let program = programs::ghz(device.num_data_qubits());
     let result = MechCompiler::new(Arc::clone(&device), CompilerConfig::default())
         .compile(&program)

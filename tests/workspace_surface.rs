@@ -17,7 +17,7 @@ use mech_repro::mech_sim::State;
 fn umbrella_reexports_are_usable() {
     // The compiler is reachable both directly and through `mech`'s own
     // re-exports of the substrate crates.
-    let device = DeviceSpec::square(5, 1, 2).cached();
+    let device = DeviceSpec::square(5, 1, 2).build_artifacts();
     let program = qft(10);
     let config = CompilerConfig::default();
 
