@@ -23,14 +23,20 @@
 //! measures every odd-BFS-depth tree node, leaves and branch nodes
 //! included. No test here executes that op sequence.
 //!
-//! The device-scale backend is a bit-matrix Clifford [`Tableau`] and the
-//! semantic schedule verifier ([`SchedVerifier`]). The verifier replays a
-//! compiled schedule's recorded event trace — GHZ highway preparation,
-//! shuttle open/close, measurement-based corrections and all — and proves
-//! the final state equals the ideal circuit's, modulo the final qubit
-//! mapping. It proves the *trace*, not the emitted ops: for GHZ
-//! preparation the trace records the naive-cascade state rather than the
-//! tree measurements above.
+//! The device-scale backend is a qubit-major Clifford [`Tableau`] and the
+//! semantic schedule verifier ([`SchedVerifier`]). The tableau stores an
+//! X and a Z column of row bits per qubit, so a gate is a word loop over
+//! a few contiguous columns, and measurement and [`Tableau::membership`]
+//! work column by column. The verifier replays a compiled schedule's
+//! recorded event trace — GHZ highway preparation, shuttle open/close,
+//! measurement-based corrections and all — then runs the purified ideal
+//! circuit in reverse on the same tableau through the final qubit
+//! mapping: the schedule is correct iff that leaves `|0…0⟩`, which proves
+//! the final state equals the ideal circuit's. Only a failing schedule
+//! pays for the per-generator membership scan that names the divergence.
+//! It proves the *trace*, not the emitted ops: for GHZ preparation the
+//! trace records the naive-cascade state rather than the tree
+//! measurements above.
 //!
 //! # Example
 //!

@@ -1,19 +1,41 @@
-//! A bit-matrix stabilizer tableau (Aaronson–Gottesman CHP style).
+//! A qubit-major stabilizer tableau (Aaronson–Gottesman CHP, laid out as
+//! in Stim).
 //!
 //! The dense state-vector simulator in [`crate::State`] verifies the MECH
 //! protocol identities on a dozen qubits; it cannot touch a 441-qubit
-//! device. This tableau can: rows are bit-packed into `u64` words, so a
-//! full-device schedule verification is a few hundred kilobytes of matrix
-//! and every gate is a word-wise sweep over `2n + 1` rows.
+//! device. This tableau can: a full-device schedule verification is a few
+//! hundred kilobytes of bit matrix, and a gate costs a few dozen word
+//! operations.
 //!
 //! # Layout
 //!
-//! For `n` qubits the tableau holds `2n + 1` rows of `2n + 1` bits each
-//! (conceptually): rows `0..n` are the destabilizer generators, rows
-//! `n..2n` the stabilizer generators, and row `2n` is scratch space for
-//! measurement. Each row stores an X bit-vector, a Z bit-vector (both
-//! `ceil(n/64)` words), and a sign bit (`r = 1` means the generator carries
-//! a −1 phase; tableau generators never acquire imaginary phases).
+//! For `n` qubits the tableau holds `2n` generator rows: `n` destabilizers
+//! and `n` stabilizers, starting as `X_q` and `Z_q`. It stores them
+//! column-wise, as Stim does (Gidney, "Stim: a fast stabilizer circuit
+//! simulator", Quantum 2021). Each qubit owns an X column and a Z column
+//! of `2·⌈n/64⌉` words, one bit per row: destabilizer `i` is bit `i` of
+//! the first `⌈n/64⌉` words, stabilizer `i` bit `i` of the second half,
+//! so a destabilizer and its stabilizer sit at the same bit of
+//! corresponding words. One more column of the same shape holds the row
+//! signs (a set bit is a −1 phase).
+//!
+//! # Costs
+//!
+//! * A gate on qubits `a`, `b` is one word loop over their two to four
+//!   contiguous columns plus the sign column; SWAP exchanges columns.
+//! * A random measurement multiplies the pivot row into every row that
+//!   has X on the measured qubit in one column-wise pass. The pass visits
+//!   only the columns where the pivot is not the identity, and only the
+//!   words that hold rows to update. A bit-sliced mod-4 counter per row
+//!   tracks the `±i` factors.
+//! * A determined measurement and [`Tableau::membership`] compute the
+//!   sign of a product of commuting stabilizer rows column by column,
+//!   without rebuilding any row: `O(n·⌈n/64⌉)` words.
+//! * `Tableau::is_zero_state` reads the stabilizer half of every X
+//!   column and of the sign column.
+//!
+//! The scratch buffers measurements and membership queries need live on
+//! the tableau, so neither allocates per call.
 //!
 //! # Measurement determinism
 //!
@@ -150,13 +172,37 @@ fn words_for(n: u32) -> usize {
 #[derive(Debug, Clone)]
 pub struct Tableau {
     n: u32,
-    words: usize,
-    /// `(2n + 1) × words` X bits, row-major.
+    /// Words per half column: destabilizer rows fill words `0..half` of a
+    /// column, stabilizer rows words `half..2 * half`.
+    half: usize,
+    /// `n` X columns of `2 * half` words, qubit-major.
     x: Vec<u64>,
-    /// `(2n + 1) × words` Z bits, row-major.
+    /// `n` Z columns of `2 * half` words, qubit-major.
     z: Vec<u64>,
-    /// Sign bit per row, 0 or 1.
-    r: Vec<u8>,
+    /// The sign column: bit set = the row carries a −1 phase.
+    r: Vec<u64>,
+    /// Measurement scratch: the rows a random measurement multiplies, or
+    /// (first half) the stabilizers a product selects.
+    mask: Vec<u64>,
+    /// Measurement scratch: low and high bits of the per-row mod-4 phase
+    /// counter of a random measurement.
+    lo: Vec<u64>,
+    hi: Vec<u64>,
+    /// Measurement scratch: the indices of the non-zero words of `mask`.
+    live: Vec<usize>,
+}
+
+/// The columns `a` and `b` (`a != b`) of a qubit-major bit matrix with
+/// `cw` words per column, borrowed mutably together.
+fn two_columns(v: &mut [u64], a: u32, b: u32, cw: usize) -> (&mut [u64], &mut [u64]) {
+    let (a, b) = (a as usize * cw, b as usize * cw);
+    if a < b {
+        let (lo, hi) = v.split_at_mut(b);
+        (&mut lo[a..a + cw], &mut hi[..cw])
+    } else {
+        let (lo, hi) = v.split_at_mut(a);
+        (&mut hi[..cw], &mut lo[b..b + cw])
+    }
 }
 
 impl Tableau {
@@ -167,20 +213,34 @@ impl Tableau {
     /// Panics if `n == 0`.
     pub fn new(n: u32) -> Self {
         assert!(n > 0, "tableau needs at least one qubit");
-        let words = words_for(n);
-        let rows = 2 * n as usize + 1;
+        let half = words_for(n);
+        let cw = 2 * half;
         let mut t = Tableau {
             n,
-            words,
-            x: vec![0; rows * words],
-            z: vec![0; rows * words],
-            r: vec![0; rows],
+            half,
+            x: vec![0; n as usize * cw],
+            z: vec![0; n as usize * cw],
+            r: vec![0; cw],
+            mask: vec![0; cw],
+            lo: vec![0; cw],
+            hi: vec![0; cw],
+            live: Vec::with_capacity(cw),
         };
-        for q in 0..n {
-            t.set_bit_x(q as usize, q); // destabilizer q = X_q
-            t.set_bit_z(n as usize + q as usize, q); // stabilizer q = Z_q
-        }
+        t.reset();
         t
+    }
+
+    /// Returns the tableau to `|0…0⟩` without reallocating.
+    pub(crate) fn reset(&mut self) {
+        self.x.fill(0);
+        self.z.fill(0);
+        self.r.fill(0);
+        let cw = 2 * self.half;
+        for q in 0..self.n as usize {
+            let bit = 1u64 << (q % 64);
+            self.x[q * cw + q / 64] |= bit; // destabilizer q = X_q
+            self.z[q * cw + self.half + q / 64] |= bit; // stabilizer q = Z_q
+        }
     }
 
     /// Number of qubits.
@@ -188,97 +248,71 @@ impl Tableau {
         self.n
     }
 
-    fn word(&self, q: u32) -> usize {
-        (q / 64) as usize
+    /// Words per column.
+    fn cw(&self) -> usize {
+        2 * self.half
     }
 
-    fn mask(&self, q: u32) -> u64 {
-        1u64 << (q % 64)
-    }
-
-    fn set_bit_x(&mut self, row: usize, q: u32) {
-        let (w, m) = (self.word(q), self.mask(q));
-        self.x[row * self.words + w] |= m;
-    }
-
-    fn set_bit_z(&mut self, row: usize, q: u32) {
-        let (w, m) = (self.word(q), self.mask(q));
-        self.z[row * self.words + w] |= m;
-    }
-
-    fn x_bit(&self, row: usize, q: u32) -> bool {
-        self.x[row * self.words + self.word(q)] & self.mask(q) != 0
-    }
-
-    fn z_bit(&self, row: usize, q: u32) -> bool {
-        self.z[row * self.words + self.word(q)] & self.mask(q) != 0
+    /// The word range of qubit `q`'s column.
+    fn column(&self, q: u32) -> std::ops::Range<usize> {
+        assert!(q < self.n, "qubit out of range");
+        let cw = self.cw();
+        q as usize * cw..(q as usize + 1) * cw
     }
 
     /// Hadamard on `q`: swaps the X and Z columns, flipping signs of rows
     /// where both are set (Y → −Y).
     pub fn h(&mut self, q: u32) {
-        let (w, m) = (self.word(q), self.mask(q));
-        for row in 0..2 * self.n as usize {
-            let xi = row * self.words + w;
-            let (xb, zb) = (self.x[xi] & m, self.z[xi] & m);
-            if xb != 0 && zb != 0 {
-                self.r[row] ^= 1;
-            }
-            self.x[xi] = (self.x[xi] & !m) | zb;
-            self.z[xi] = (self.z[xi] & !m) | xb;
+        let col = self.column(q);
+        let rows = self.x[col.clone()].iter_mut().zip(&mut self.z[col]);
+        for ((x, z), r) in rows.zip(&mut self.r) {
+            *r ^= *x & *z;
+            std::mem::swap(x, z);
         }
     }
 
-    /// Phase gate S on `q`.
+    /// Phase gate S on `q`: X → Y, Y → −X.
     pub fn s(&mut self, q: u32) {
-        let (w, m) = (self.word(q), self.mask(q));
-        for row in 0..2 * self.n as usize {
-            let xi = row * self.words + w;
-            if self.x[xi] & m != 0 && self.z[xi] & m != 0 {
-                self.r[row] ^= 1;
-            }
-            self.z[xi] ^= self.x[xi] & m;
+        let col = self.column(q);
+        let rows = self.x[col.clone()].iter().zip(&mut self.z[col]);
+        for ((x, z), r) in rows.zip(&mut self.r) {
+            *r ^= x & *z;
+            *z ^= x;
         }
     }
 
-    /// Inverse phase gate on `q`.
+    /// Inverse phase gate on `q`: X → −Y, Y → X.
     pub fn sdg(&mut self, q: u32) {
-        // Sdg = S·Z, and Z is a sign-only update, so conjugate directly:
-        // X → −Y, Y → X, Z → Z. Flip the sign when X is set and Z is not.
-        let (w, m) = (self.word(q), self.mask(q));
-        for row in 0..2 * self.n as usize {
-            let xi = row * self.words + w;
-            if self.x[xi] & m != 0 && self.z[xi] & m == 0 {
-                self.r[row] ^= 1;
-            }
-            self.z[xi] ^= self.x[xi] & m;
+        let col = self.column(q);
+        let rows = self.x[col.clone()].iter().zip(&mut self.z[col]);
+        for ((x, z), r) in rows.zip(&mut self.r) {
+            *r ^= x & !*z;
+            *z ^= x;
         }
     }
 
     /// Pauli-X on `q` (flips the sign of Z- and Y-carrying rows).
     pub fn x(&mut self, q: u32) {
-        for row in 0..2 * self.n as usize {
-            if self.z_bit(row, q) {
-                self.r[row] ^= 1;
-            }
+        let col = self.column(q);
+        for (z, r) in self.z[col].iter().zip(&mut self.r) {
+            *r ^= z;
         }
     }
 
-    /// Pauli-Z on `q`.
+    /// Pauli-Z on `q` (flips the sign of X- and Y-carrying rows).
     pub fn z(&mut self, q: u32) {
-        for row in 0..2 * self.n as usize {
-            if self.x_bit(row, q) {
-                self.r[row] ^= 1;
-            }
+        let col = self.column(q);
+        for (x, r) in self.x[col].iter().zip(&mut self.r) {
+            *r ^= x;
         }
     }
 
-    /// Pauli-Y on `q`.
+    /// Pauli-Y on `q` (flips the sign of X- and Z-carrying rows).
     pub fn y(&mut self, q: u32) {
-        for row in 0..2 * self.n as usize {
-            if self.x_bit(row, q) != self.z_bit(row, q) {
-                self.r[row] ^= 1;
-            }
+        let col = self.column(q);
+        let rows = self.x[col.clone()].iter().zip(&self.z[col]);
+        for ((x, z), r) in rows.zip(&mut self.r) {
+            *r ^= x ^ z;
         }
     }
 
@@ -289,83 +323,45 @@ impl Tableau {
     /// Panics if `c == t`.
     pub fn cnot(&mut self, c: u32, t: u32) {
         assert_ne!(c, t, "cnot operands must differ");
-        let (wc, mc) = (self.word(c), self.mask(c));
-        let (wt, mt) = (self.word(t), self.mask(t));
-        for row in 0..2 * self.n as usize {
-            let base = row * self.words;
-            let xc = self.x[base + wc] & mc != 0;
-            let zc = self.z[base + wc] & mc != 0;
-            let xt = self.x[base + wt] & mt != 0;
-            let zt = self.z[base + wt] & mt != 0;
-            if xc && zt && (xt == zc) {
-                self.r[row] ^= 1;
-            }
-            if xc {
-                self.x[base + wt] ^= mt;
-            }
-            if zt {
-                self.z[base + wc] ^= mc;
-            }
+        let cw = self.cw();
+        let (xc, xt) = two_columns(&mut self.x, c, t, cw);
+        let (zc, zt) = two_columns(&mut self.z, c, t, cw);
+        let rows = xc.iter().zip(xt).zip(zc.iter_mut().zip(zt.iter()));
+        for (((xc, xt), (zc, zt)), r) in rows.zip(&mut self.r) {
+            *r ^= xc & zt & !(*xt ^ *zc);
+            *xt ^= xc;
+            *zc ^= zt;
         }
     }
 
-    /// CZ (symmetric), as an H-conjugated CNOT.
+    /// CZ (symmetric): X_a → X_a Z_b, X_b → Z_a X_b.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a == b`.
     pub fn cz(&mut self, a: u32, b: u32) {
-        self.h(b);
-        self.cnot(a, b);
-        self.h(b);
+        assert_ne!(a, b, "cz operands must differ");
+        let cw = self.cw();
+        let (xa, xb) = two_columns(&mut self.x, a, b, cw);
+        let (za, zb) = two_columns(&mut self.z, a, b, cw);
+        let rows = xa.iter().zip(xb.iter()).zip(za.iter_mut().zip(zb));
+        for (((xa, xb), (za, zb)), r) in rows.zip(&mut self.r) {
+            *r ^= xa & xb & (*za ^ *zb);
+            *za ^= xb;
+            *zb ^= xa;
+        }
     }
 
-    /// SWAP, as three CNOTs.
+    /// SWAP: exchanges the two qubits' columns.
     pub fn swap(&mut self, a: u32, b: u32) {
-        self.cnot(a, b);
-        self.cnot(b, a);
-        self.cnot(a, b);
-    }
-
-    /// Multiplies row `i` into row `h` (`row_h ← row_i · row_h`), tracking
-    /// the sign word-parallel.
-    fn rowmult(&mut self, h: usize, i: usize) {
-        let mut phase: i64 = 2 * self.r[h] as i64 + 2 * self.r[i] as i64;
-        for w in 0..self.words {
-            let (x1, z1) = (self.x[i * self.words + w], self.z[i * self.words + w]);
-            let (x2, z2) = (self.x[h * self.words + w], self.z[h * self.words + w]);
-            // Classify row i's Paulis per qubit and count the ±i factors
-            // picked up against row h: X·Y, Y·Z, Z·X contribute +i;
-            // X·Z, Y·X, Z·Y contribute −i.
-            let (xi1, yi1, zi1) = (x1 & !z1, x1 & z1, !x1 & z1);
-            let (xi2, yi2, zi2) = (x2 & !z2, x2 & z2, !x2 & z2);
-            let plus = (xi1 & yi2) | (yi1 & zi2) | (zi1 & xi2);
-            let minus = (xi1 & zi2) | (yi1 & xi2) | (zi1 & yi2);
-            phase += plus.count_ones() as i64 - minus.count_ones() as i64;
-            self.x[h * self.words + w] ^= x1;
-            self.z[h * self.words + w] ^= z1;
+        if a == b {
+            return;
         }
-        let phase = phase.rem_euclid(4);
-        // Destabilizer rows (h < n) can accumulate imaginary phases during
-        // measurement row-sums; their signs are never read, so only
-        // stabilizer and scratch rows must stay real.
-        debug_assert!(
-            phase % 2 == 0 || h < self.n as usize,
-            "rowmult produced an imaginary phase on row {h}"
-        );
-        self.r[h] = ((phase / 2) & 1) as u8;
-    }
-
-    fn copy_row(&mut self, dst: usize, src: usize) {
-        for w in 0..self.words {
-            self.x[dst * self.words + w] = self.x[src * self.words + w];
-            self.z[dst * self.words + w] = self.z[src * self.words + w];
-        }
-        self.r[dst] = self.r[src];
-    }
-
-    fn zero_row(&mut self, row: usize) {
-        for w in 0..self.words {
-            self.x[row * self.words + w] = 0;
-            self.z[row * self.words + w] = 0;
-        }
-        self.r[row] = 0;
+        let cw = self.cw();
+        let (xa, xb) = two_columns(&mut self.x, a, b, cw);
+        xa.swap_with_slice(xb);
+        let (za, zb) = two_columns(&mut self.z, a, b, cw);
+        za.swap_with_slice(zb);
     }
 
     /// Measures qubit `q` in the computational basis.
@@ -375,56 +371,168 @@ impl Tableau {
     /// marked non-determined. If the outcome is forced, `desired` is
     /// ignored and the forced value is returned.
     pub fn measure(&mut self, q: u32, desired: bool) -> MeasureOutcome {
-        let n = self.n as usize;
+        let col = self.column(q).start;
         // A stabilizer row with an X component on q anticommutes with Z_q:
-        // the outcome is random.
-        let pivot = (n..2 * n).find(|&row| self.x_bit(row, q));
-        if let Some(p) = pivot {
-            for row in 0..2 * n {
-                if row != p && self.x_bit(row, q) {
-                    self.rowmult(row, p);
+        // the outcome is random. The first such row is the pivot.
+        let pivot = (self.half..self.cw()).find(|&w| self.x[col + w] != 0);
+        match pivot {
+            Some(pw) => {
+                let pm = 1u64 << self.x[col + pw].trailing_zeros();
+                self.collapse(q, pw, pm, desired);
+                MeasureOutcome {
+                    value: desired,
+                    determined: false,
                 }
             }
-            // The old stabilizer becomes the destabilizer of the new Z_q
-            // generator, whose sign encodes the chosen outcome.
-            self.copy_row(p - n, p);
-            self.zero_row(p);
-            self.set_bit_z(p, q);
-            self.r[p] = desired as u8;
-            MeasureOutcome {
-                value: desired,
-                determined: false,
-            }
-        } else {
-            // Determined: Z_q = ± product of the stabilizer rows selected
-            // by the destabilizers that anticommute with Z_q.
-            let scratch = 2 * n;
-            self.zero_row(scratch);
-            self.set_bit_z(scratch, q);
-            // Seed the scratch row with +Z_q, then multiply in the
-            // selected stabilizers; the accumulated sign is the outcome.
-            self.r[scratch] = 0;
-            for i in 0..n {
-                if self.x_bit(i, q) {
-                    self.rowmult(scratch, i + n);
+            None => {
+                // Determined: Z_q = ± the product of the stabilizers whose
+                // destabilizers anticommute with Z_q (have X on q); the
+                // product's sign is the outcome.
+                let half = self.half;
+                self.mask[..half].copy_from_slice(&self.x[col..col + half]);
+                MeasureOutcome {
+                    value: self.stabilizer_product(|_, _, _| {}),
+                    determined: true,
                 }
-            }
-            MeasureOutcome {
-                value: self.r[scratch] == 1,
-                determined: true,
             }
         }
+    }
+
+    /// The random-outcome update of [`Tableau::measure`] with the pivot
+    /// at bit `pm` of word `pw`: multiplies the pivot into every other row
+    /// with X on `q` (`row ← pivot · row`), moves it to its destabilizer
+    /// slot, and replaces it with `±Z_q` carrying the outcome.
+    fn collapse(&mut self, q: u32, pw: usize, pm: u64, desired: bool) {
+        let (half, cw) = (self.half, self.cw());
+        let dw = pw - half;
+        let col = q as usize * cw;
+        self.live.clear();
+        for w in 0..cw {
+            let rows = self.x[col + w] & if w == pw { !pm } else { !0 };
+            self.mask[w] = rows;
+            if rows != 0 {
+                self.live.push(w);
+            }
+        }
+        for c in 0..self.n as usize {
+            let base = c * cw;
+            let px = self.x[base + pw] & pm != 0;
+            let pz = self.z[base + pw] & pm != 0;
+            if px || pz {
+                for &w in &self.live {
+                    let m = self.mask[w];
+                    let (x, z) = (self.x[base + w], self.z[base + w]);
+                    // The ±i the pivot's Pauli picks up against each row's:
+                    // X·Y, Y·Z, Z·X give +i; X·Z, Y·X, Z·Y give −i.
+                    let (plus, minus) = match (px, pz) {
+                        (true, false) => (x & z, !x & z),
+                        (true, true) => (!x & z, x & !z),
+                        _ => (x & !z, x & z),
+                    };
+                    let (plus, minus) = (plus & m, minus & m);
+                    // Two-bit counters (hi, lo): +1 on `plus`, −1 on `minus`.
+                    self.hi[w] ^= self.lo[w] & plus;
+                    self.lo[w] ^= plus;
+                    self.hi[w] ^= !self.lo[w] & minus;
+                    self.lo[w] ^= minus;
+                    if px {
+                        self.x[base + w] ^= m;
+                    }
+                    if pz {
+                        self.z[base + w] ^= m;
+                    }
+                }
+            }
+            // The old pivot becomes the destabilizer of the new generator.
+            for v in [&mut self.x, &mut self.z] {
+                let bit = v[base + pw] & pm;
+                v[base + dw] = (v[base + dw] & !pm) | bit;
+                v[base + pw] &= !pm;
+            }
+        }
+        // Sign of pivot · row: the two signs, times −1 when the ±i factors
+        // sum to 2 mod 4 (the counter's high bit).
+        let rp = if self.r[pw] & pm != 0 { !0 } else { 0 };
+        for &w in &self.live {
+            // Destabilizer rows can pick up an imaginary phase here; their
+            // signs are never read, so only stabilizer rows must stay real.
+            debug_assert!(
+                w < half || self.lo[w] == 0,
+                "row product produced an imaginary phase on a stabilizer"
+            );
+            self.r[w] ^= (rp & self.mask[w]) ^ self.hi[w];
+            self.lo[w] = 0;
+            self.hi[w] = 0;
+        }
+        self.r[dw] = (self.r[dw] & !pm) | (self.r[pw] & pm);
+        self.r[pw] = (self.r[pw] & !pm) | if desired { pm } else { 0 };
+        self.z[col + pw] |= pm;
+    }
+
+    /// Multiplies the stabilizer rows selected by the first half of `mask`
+    /// (bit `i` of word `w` selects stabilizer `64w + i`) column by column.
+    /// Calls `visit(q, x, z)` with the product's Pauli on every qubit and
+    /// returns `true` if the product carries a −1 sign.
+    ///
+    /// The rows commute, so the product is Hermitian and its phase real.
+    /// Per column, writing each Pauli as `i^(xz) X^x Z^z` and moving every
+    /// X left of every Z gives the exponent of `i`:
+    /// `#Y + 2·#{r < s : z_r x_s} − x·z` of the product, all mod 4.
+    fn stabilizer_product(&mut self, mut visit: impl FnMut(u32, bool, bool)) -> bool {
+        let (half, cw) = (self.half, self.cw());
+        self.live.clear();
+        self.live.extend((0..half).filter(|&w| self.mask[w] != 0));
+        let mut e = 0u32;
+        for &w in &self.live {
+            e = e.wrapping_add(2 * (self.r[half + w] & self.mask[w]).count_ones());
+        }
+        for c in 0..self.n {
+            let base = c as usize * cw + half;
+            // `before` is all ones iff z has odd parity in earlier words.
+            let (mut xs, mut zs, mut pairs, mut before) = (0u32, 0u32, 0u32, 0u64);
+            for &w in &self.live {
+                let m = self.mask[w];
+                let (x, z) = (self.x[base + w] & m, self.z[base + w] & m);
+                if x | z == 0 {
+                    continue;
+                }
+                e = e.wrapping_add((x & z).count_ones());
+                // Bit s of `prefix` is the parity of z over bits 0..=s.
+                let mut prefix = z;
+                for k in [1, 2, 4, 8, 16, 32] {
+                    prefix ^= prefix << k;
+                }
+                pairs ^= (x & ((prefix << 1) ^ before)).count_ones();
+                if z.count_ones() & 1 == 1 {
+                    before = !before;
+                }
+                xs ^= x.count_ones();
+                zs ^= z.count_ones();
+            }
+            let (x, z) = (xs & 1 == 1, zs & 1 == 1);
+            e = e.wrapping_add(2 * (pairs & 1) + if x && z { 3 } else { 0 });
+            visit(c, x, z);
+        }
+        debug_assert!(e & 1 == 0, "product of commuting rows is not Hermitian");
+        e & 2 != 0
     }
 
     /// Extracts stabilizer generator `i` (`0 ≤ i < n`) as a
     /// [`PauliString`].
     pub fn stabilizer(&self, i: u32) -> PauliString {
         assert!(i < self.n, "generator index out of range");
-        let row = (self.n + i) as usize;
+        let (w, bit) = (self.half + i as usize / 64, 1u64 << (i % 64));
         let mut p = PauliString::identity(self.n);
-        p.x.copy_from_slice(&self.x[row * self.words..(row + 1) * self.words]);
-        p.z.copy_from_slice(&self.z[row * self.words..(row + 1) * self.words]);
-        p.neg = self.r[row] == 1;
+        for q in 0..self.n {
+            let at = self.column(q).start + w;
+            if self.x[at] & bit != 0 {
+                p.set_x(q);
+            }
+            if self.z[at] & bit != 0 {
+                p.set_z(q);
+            }
+        }
+        p.neg = self.r[w] & bit != 0;
         p
     }
 
@@ -432,45 +540,61 @@ impl Tableau {
     ///
     /// Decomposes `p` over the generators using the destabilizer pairing
     /// (generator `i` appears in the product iff `p` anticommutes with
-    /// destabilizer `i`), builds that product in the scratch row, and
-    /// compares. `O(n²/64)` per call.
+    /// destabilizer `i`), multiplies those generators column by column,
+    /// and compares. `O(n·⌈n/64⌉)` words per call.
     ///
     /// # Panics
     ///
     /// Panics if `p` is on a different number of qubits.
     pub fn membership(&mut self, p: &PauliString) -> Membership {
         assert_eq!(p.n, self.n, "pauli width mismatch");
-        let n = self.n as usize;
-        let scratch = 2 * n;
-        self.zero_row(scratch);
-        for i in 0..n {
-            // Symplectic product of p with destabilizer i.
-            let mut parity = 0u32;
-            for w in 0..self.words {
-                let anti =
-                    (p.x[w] & self.z[i * self.words + w]) ^ (p.z[w] & self.x[i * self.words + w]);
-                parity ^= anti.count_ones() & 1;
+        let (half, cw) = (self.half, self.cw());
+        self.mask[..half].fill(0);
+        for q in 0..self.n {
+            let base = q as usize * cw;
+            // p's X anticommutes with a destabilizer's Z, p's Z with its X.
+            if p.x_bit(q) {
+                for w in 0..half {
+                    self.mask[w] ^= self.z[base + w];
+                }
             }
-            if parity & 1 == 1 {
-                self.rowmult(scratch, i + n);
+            if p.z_bit(q) {
+                for w in 0..half {
+                    self.mask[w] ^= self.x[base + w];
+                }
             }
         }
-        let same_paulis = (0..self.words).all(|w| {
-            self.x[scratch * self.words + w] == p.x[w] && self.z[scratch * self.words + w] == p.z[w]
+        let mut same_paulis = true;
+        let neg = self.stabilizer_product(|q, x, z| {
+            same_paulis &= x == p.x_bit(q) && z == p.z_bit(q);
         });
         if !same_paulis {
             Membership::NotIn
-        } else if (self.r[scratch] == 1) == p.neg {
+        } else if neg == p.neg {
             Membership::In
         } else {
             Membership::InWithWrongSign
         }
+    }
+
+    /// `true` iff the state is `|0…0⟩`: every stabilizer generator is
+    /// X-free with a `+` sign, so the generators span `{+Z_S}`.
+    /// `O(n·⌈n/64⌉)` words.
+    pub(crate) fn is_zero_state(&self) -> bool {
+        let (half, cw) = (self.half, self.cw());
+        self.r[half..].iter().all(|&w| w == 0)
+            && self
+                .x
+                .chunks_exact(cw)
+                .all(|col| col[half..].iter().all(|&w| w == 0))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mech_circuit::benchmarks::random_clifford;
+    use mech_circuit::{Circuit, Gate, OneQubitGate, TwoQubitKind};
 
     fn zq(n: u32, q: u32) -> PauliString {
         let mut p = PauliString::identity(n);
@@ -650,5 +774,106 @@ mod tests {
         p.set_z(2);
         p.neg = true;
         assert_eq!(p.to_string(), "-XZY");
+    }
+
+    /// Applies `c`'s gates (measurements skipped), or undoes them: the
+    /// gates in reverse with S and Sdg exchanged.
+    fn run_gates(t: &mut Tableau, c: &Circuit, inverse: bool) {
+        let mut gates: Vec<&Gate> = c.gates().iter().collect();
+        if inverse {
+            gates.reverse();
+        }
+        for gate in gates {
+            match *gate {
+                Gate::One { gate, q } => match gate {
+                    OneQubitGate::H => t.h(q.0),
+                    OneQubitGate::X => t.x(q.0),
+                    OneQubitGate::Y => t.y(q.0),
+                    OneQubitGate::Z => t.z(q.0),
+                    OneQubitGate::S if inverse => t.sdg(q.0),
+                    OneQubitGate::S => t.s(q.0),
+                    OneQubitGate::Sdg if inverse => t.s(q.0),
+                    OneQubitGate::Sdg => t.sdg(q.0),
+                    _ => unreachable!("random_clifford is clifford"),
+                },
+                Gate::Two { kind, a, b, .. } => match kind {
+                    TwoQubitKind::Cnot => t.cnot(a.0, b.0),
+                    TwoQubitKind::Cz => t.cz(a.0, b.0),
+                    _ => unreachable!("random_clifford emits cnot/cz only"),
+                },
+                Gate::Measure { .. } => {}
+            }
+        }
+    }
+
+    /// Widths on both sides of the 64-row word boundaries of a column.
+    const BOUNDARY_WIDTHS: [u32; 7] = [31, 32, 33, 63, 64, 65, 100];
+
+    #[test]
+    fn clifford_then_inverse_leaves_determined_zeros_across_word_boundaries() {
+        for n in BOUNDARY_WIDTHS {
+            let c = random_clifford(n, 8 * n as usize, u64::from(n));
+            let mut t = Tableau::new(n);
+            run_gates(&mut t, &c, false);
+            assert!(!t.is_zero_state(), "n = {n}: the circuit entangles");
+            run_gates(&mut t, &c, true);
+            assert!(t.is_zero_state(), "n = {n}");
+            for q in 0..n {
+                let m = t.measure(q, true);
+                assert!(m.determined && !m.value, "n = {n}, qubit {q}: {m:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn ghz_chain_across_word_boundaries_is_correlated() {
+        for n in BOUNDARY_WIDTHS {
+            for branch in [false, true] {
+                let mut t = Tableau::new(n);
+                t.h(0);
+                for q in 1..n {
+                    t.cnot(q - 1, q);
+                }
+                let mut all_x = PauliString::identity(n);
+                for q in 0..n {
+                    all_x.set_x(q);
+                }
+                assert_eq!(t.membership(&all_x), Membership::In, "n = {n}");
+                let mut ends = zq(n, 0);
+                ends.set_z(n - 1);
+                assert_eq!(t.membership(&ends), Membership::In, "n = {n}");
+                let m = t.measure(n - 1, branch);
+                assert!(!m.determined, "n = {n}");
+                for q in 0..n - 1 {
+                    let m = t.measure(q, !branch);
+                    assert!(m.determined, "n = {n}, qubit {q}");
+                    assert_eq!(m.value, branch, "n = {n}, qubit {q}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn stabilizer_and_membership_agree_across_word_boundaries() {
+        for n in BOUNDARY_WIDTHS {
+            let c = random_clifford(n, 8 * n as usize, u64::from(n) + 1000);
+            let mut t = Tableau::new(n);
+            run_gates(&mut t, &c, false);
+            // Collapse a spread of qubits so rows span several words.
+            for q in (0..n).step_by(7) {
+                let m = t.measure(q, q % 2 == 1);
+                let again = t.measure(q, !m.value);
+                assert!(again.determined && again.value == m.value, "n = {n}");
+            }
+            for i in 0..n {
+                let mut g = t.stabilizer(i);
+                assert_eq!(t.membership(&g), Membership::In, "n = {n}, {g}");
+                g.neg = !g.neg;
+                assert_eq!(t.membership(&g), Membership::InWithWrongSign);
+            }
+            let mut x0 = PauliString::identity(n);
+            x0.set_x(0);
+            assert_eq!(t.membership(&x0), Membership::NotIn, "qubit 0 is collapsed");
+        }
     }
 }

@@ -19,6 +19,26 @@
 //! generators — so passing all checks implies the two purified states are
 //! *identical*, not merely similar.
 //!
+//! # How it is checked
+//!
+//! The verifier decides that equality without the `N + L` membership
+//! queries. After replaying the trace it runs the purified ideal circuit
+//! in reverse on the same tableau, each gate mapped through the final map
+//! and inverted (S and Sdg exchanged; every other gate is its own
+//! inverse). The schedule passes iff the tableau is then `|0…0⟩`: every
+//! stabilizer row X-free with a `+` sign. That is the same decision.
+//! Ideal generator `i` is `U Z_i U†`, so its lift stabilizes the compiled
+//! state iff `Z_map(i)` stabilizes the uncomputed one, and the ideal
+//! circuit never touches a non-image qubit, so its `+Z_q` check carries
+//! over unchanged. The check reads `O((N + L)²/64)` words, where one
+//! membership query alone costs that much.
+//!
+//! Only a failing pass pays for the queries: it re-applies the ideal
+//! circuit to restore the compiled state, builds the ideal tableau, and
+//! scans generators then non-image qubits in order, so the
+//! [`VerifyError`] names the first diverging generator (or ancilla) and
+//! its lifted Pauli.
+//!
 //! # Measurement handling
 //!
 //! Protocol-internal measurements (GHZ cascade reading, shuttle
@@ -282,7 +302,8 @@ impl<'a> SchedVerifier<'a> {
     /// # Panics
     ///
     /// Panics if `final_positions` is not exactly one entry per ideal
-    /// qubit, or if the device is narrower than the program.
+    /// qubit, names a qubit off the device or twice, or if the device is
+    /// narrower than the program.
     pub fn new(
         ideal: &'a Circuit,
         num_phys: u32,
@@ -298,6 +319,16 @@ impl<'a> SchedVerifier<'a> {
             num_phys >= ideal.num_qubits(),
             "device narrower than the program"
         );
+        let mut image = vec![false; num_phys as usize];
+        for p in final_positions {
+            let seen = image
+                .get_mut(p.index())
+                .expect("final position off the device");
+            assert!(
+                !std::mem::replace(seen, true),
+                "final mapping repeats {p:?}"
+            );
+        }
         SchedVerifier {
             ideal,
             num_phys,
@@ -308,6 +339,29 @@ impl<'a> SchedVerifier<'a> {
 
     /// Runs one verification pass under `policy`.
     pub fn verify(&self, policy: OutcomePolicy) -> Result<VerifyReport, VerifyError> {
+        let plan = self.plan()?;
+        self.run(&plan, &mut Tableau::new(plan.width), policy)
+    }
+
+    /// Runs [`OutcomePolicy::SWEEP`] — zeros, ones, and a seeded mix — so
+    /// every classically-controlled correction is exercised on both
+    /// branches. Returns the per-policy reports, or the first failure.
+    ///
+    /// The policy-independent work (the Clifford screen, the ancilla
+    /// assignment, the final map) is done once, and the three passes share
+    /// one tableau.
+    pub fn verify_sweep(&self) -> Result<Vec<VerifyReport>, VerifyError> {
+        let plan = self.plan()?;
+        let mut tab = Tableau::new(plan.width);
+        OutcomePolicy::SWEEP
+            .iter()
+            .map(|&p| self.run(&plan, &mut tab, p))
+            .collect()
+    }
+
+    /// The policy-independent part of a pass: screens the inputs and
+    /// assigns the purification ancillas.
+    fn plan(&self) -> Result<Plan, VerifyError> {
         if let Some(gate_index) = self.ideal.gates().iter().position(|g| !g.is_clifford()) {
             return Err(VerifyError::NonCliffordInput { gate_index });
         }
@@ -330,9 +384,33 @@ impl<'a> SchedVerifier<'a> {
             }
         }
 
+        // The final map on the widened device: program qubit q to its
+        // final home, ancilla j to device qubit N + j.
+        let mut map: Vec<u32> = self.final_positions.iter().map(|p| p.0).collect();
+        map.extend((0..total).map(|j| self.num_phys + j));
+        Ok(Plan {
+            anc,
+            total,
+            map,
+            width: (self.num_phys + total).max(1),
+        })
+    }
+
+    /// One pass under `policy` on `tab` (reset first): replays the
+    /// compiled trace, then uncomputes the purified ideal circuit through
+    /// the final map and checks that `|0…0⟩` is left.
+    fn run(
+        &self,
+        plan: &Plan,
+        tab: &mut Tableau,
+        policy: OutcomePolicy,
+    ) -> Result<VerifyReport, VerifyError> {
+        let n = self.ideal.num_qubits();
+        let anc = &plan.anc;
+
         // Replay the compiled event stream on the widened device tableau:
         // device qubits 0..N, purification ancillas N..N+total.
-        let mut tab = Tableau::new((self.num_phys + total).max(1));
+        tab.reset();
         let mut source = OutcomeSource::new(policy);
         let mut slots: Vec<Option<bool>> = Vec::new();
         let mut seq = vec![0usize; n as usize];
@@ -415,78 +493,111 @@ impl<'a> SchedVerifier<'a> {
             }
         }
 
-        // Purified ideal run: program qubits 0..n, ancillas n..n+total.
-        let mut ideal_tab = Tableau::new((n + total).max(1));
-        let mut ideal_seq = vec![0usize; n as usize];
-        for gate in self.ideal.gates() {
-            match *gate {
-                Gate::One { gate, q } => apply_one(&mut ideal_tab, gate, q.0),
-                Gate::Two { kind, a, b, .. } => apply_two(&mut ideal_tab, kind, a.0, b.0),
+        // The compiled state equals the lifted purified ideal state V|0⟩
+        // iff V†·(compiled state) = |0…0⟩ (see the module docs). On a
+        // mismatch, redo V to restore the compiled state for diagnosis.
+        self.run_ideal(tab, &plan.map, plan.total, true);
+        if tab.is_zero_state() {
+            return Ok(VerifyReport {
+                policy,
+                events: self.events.len(),
+                protocol_measurements,
+                logical_measurements,
+                generators_checked: n + plan.total,
+                ancillas_checked: self.num_phys - n,
+            });
+        }
+        self.run_ideal(tab, &plan.map, plan.total, false);
+        Err(self.diagnose(plan, tab))
+    }
+
+    /// Runs the purified ideal circuit on `tab` through `map` (program
+    /// qubits first, then the `total` measurement ancillas): forward, or
+    /// inverted — gates in reverse order with S and Sdg exchanged, every
+    /// other gate (CNOT, CZ, SWAP, H and the Paulis) being its own inverse.
+    fn run_ideal(&self, tab: &mut Tableau, map: &[u32], total: u32, inverse: bool) {
+        let n = self.ideal.num_qubits() as usize;
+        let gates = self.ideal.gates();
+        let mut measured = if inverse { total } else { 0 };
+        for i in 0..gates.len() {
+            let gate = gates[if inverse { gates.len() - 1 - i } else { i }];
+            match gate {
+                Gate::One { gate, q } => {
+                    let gate = match gate {
+                        OneQubitGate::S if inverse => OneQubitGate::Sdg,
+                        OneQubitGate::Sdg if inverse => OneQubitGate::S,
+                        g => g,
+                    };
+                    apply_one(tab, gate, map[q.index()]);
+                }
+                Gate::Two { kind, a, b, .. } => {
+                    apply_two(tab, kind, map[a.index()], map[b.index()]);
+                }
                 Gate::Measure { q } => {
-                    let s = ideal_seq[q.0 as usize];
-                    ideal_seq[q.0 as usize] += 1;
-                    ideal_tab.cnot(q.0, n + anc[q.0 as usize][s]);
+                    // Measurement j (program order) copies onto ancilla j.
+                    if inverse {
+                        measured -= 1;
+                    }
+                    tab.cnot(map[q.index()], map[n + measured as usize]);
+                    if !inverse {
+                        measured += 1;
+                    }
                 }
             }
         }
+    }
 
-        // Lift each purified ideal generator through the final mapping
-        // (ancilla j maps to ancilla j) and check it stabilizes the
-        // compiled state with the right sign.
+    /// Names the first operator the compiled state in `tab` fails: lifts
+    /// each purified ideal stabilizer generator through the final map and
+    /// tests its membership, then tests `+Z_q` on every non-image device
+    /// qubit.
+    fn diagnose(&self, plan: &Plan, tab: &mut Tableau) -> VerifyError {
+        let n = self.ideal.num_qubits();
+        let total = plan.total;
+        let mut ideal_tab = Tableau::new((n + total).max(1));
+        let identity: Vec<u32> = (0..n + total).collect();
+        self.run_ideal(&mut ideal_tab, &identity, total, false);
+
         let wide = self.num_phys + total;
-        let mut map: Vec<u32> = self.final_positions.iter().map(|p| p.0).collect();
-        map.extend((0..total).map(|j| self.num_phys + j));
         for i in 0..n + total {
-            let lifted = ideal_tab.stabilizer(i).lift(wide, &map);
+            let lifted = ideal_tab.stabilizer(i).lift(wide, &plan.map);
             let membership = tab.membership(&lifted);
             if membership != Membership::In {
-                return Err(VerifyError::StabilizerMismatch {
+                return VerifyError::StabilizerMismatch {
                     generator: i,
                     pauli: lifted,
                     membership,
-                });
+                };
             }
         }
 
         // Every non-image device qubit (highway, ancilla, spare) must sit
-        // in |0⟩. Together with the n + total lifted generators this pins
-        // all N + total independent generators: the states are identical.
-        let mut image = vec![false; self.num_phys as usize];
-        for p in self.final_positions {
-            image[p.index()] = true;
-        }
-        let mut ancillas_checked = 0u32;
+        // in |0⟩.
         for q in 0..self.num_phys {
-            if image[q as usize] {
+            if self.final_positions.contains(&PhysQubit(q)) {
                 continue;
             }
             let mut zq = PauliString::identity(wide);
             zq.set_z(q);
             if tab.membership(&zq) != Membership::In {
-                return Err(VerifyError::AncillaEntangled { q });
+                return VerifyError::AncillaEntangled { q };
             }
-            ancillas_checked += 1;
         }
-
-        Ok(VerifyReport {
-            policy,
-            events: self.events.len(),
-            protocol_measurements,
-            logical_measurements,
-            generators_checked: n + total,
-            ancillas_checked,
-        })
+        unreachable!("the uncompute check and the membership scan disagree")
     }
+}
 
-    /// Runs [`OutcomePolicy::SWEEP`] — zeros, ones, and a seeded mix — so
-    /// every classically-controlled correction is exercised on both
-    /// branches. Returns the per-policy reports, or the first failure.
-    pub fn verify_sweep(&self) -> Result<Vec<VerifyReport>, VerifyError> {
-        OutcomePolicy::SWEEP
-            .iter()
-            .map(|&p| self.verify(p))
-            .collect()
-    }
+/// The policy-independent inputs of a verification pass.
+struct Plan {
+    /// `anc[q][s]`: the purification ancilla of qubit q's s-th measurement.
+    anc: Vec<Vec<u32>>,
+    /// Number of program measurements, one ancilla each.
+    total: u32,
+    /// The final map: program qubit q to its physical home, ancilla j to
+    /// device-tableau qubit `N + j`.
+    map: Vec<u32>,
+    /// Device-tableau width: device qubits plus ancillas.
+    width: u32,
 }
 
 #[cfg(test)]
@@ -758,6 +869,14 @@ mod tests {
             v.verify(OutcomePolicy::Zeros).unwrap_err(),
             VerifyError::ExtraMeasurement { logical: 0, op: 1 }
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "final mapping repeats")]
+    fn a_final_mapping_that_repeats_a_qubit_is_refused() {
+        let c = Circuit::new(2);
+        let pos = [PhysQubit(1), PhysQubit(1)];
+        let _ = SchedVerifier::new(&c, 3, &[], &pos);
     }
 
     #[test]

@@ -8,12 +8,20 @@
 //! this suite proves the schedule is *correct*: every Clifford family on
 //! the full 441-qubit device, under the outcome-policy sweep that drives
 //! each classically-controlled correction down both branches.
+//!
+//! The mutation tests corrupt a real compile's trace or final map and pin
+//! the exact `VerifyError`: a passing schedule is decided by one
+//! uncompute check, and only a failing one runs the membership scan that
+//! names the diverging generator or ancilla.
 
 use std::sync::Arc;
 
-use mech::{CompilerConfig, DeviceSpec, MechCompiler};
+use mech::{CompileResult, CompilerConfig, DeviceSpec, MechCompiler};
+use mech_bench::verify::{OutcomePolicy, SchedVerifier};
 use mech_bench::{programs, verify};
-use mech_sim::VerifyError;
+use mech_chiplet::{PhysQubit, SemEvent, SemEventKind, SemGate1};
+use mech_circuit::Circuit;
+use mech_sim::{Membership, PauliString, VerifyError};
 
 fn device_441q() -> Arc<mech::DeviceArtifacts> {
     DeviceSpec::square(7, 3, 3).build_artifacts()
@@ -109,4 +117,120 @@ fn unrecorded_schedules_report_a_missing_trace() {
         verify::verify_compiled(&program, &result).unwrap_err(),
         VerifyError::MissingTrace
     );
+}
+
+/// A real compile on `square(6, 2, 2)` with its recorded trace: `bv(16)`
+/// or `rand_clifford(32)`, both of which verify with protocol
+/// measurements.
+fn compiled_on_144q(program: &Circuit) -> CompileResult {
+    let device = DeviceSpec::square(6, 2, 2).build_artifacts();
+    let result = MechCompiler::new(device, verify::recording(CompilerConfig::default()))
+        .compile(program)
+        .unwrap();
+    let reports = verify::verify_compiled(program, &result).expect("unmutated trace verifies");
+    assert!(reports[0].protocol_measurements > 0);
+    result
+}
+
+/// A lifted Pauli on `n` qubits with X on `xs`, Z on `zs`.
+fn pauli(n: u32, xs: &[u32], zs: &[u32], neg: bool) -> PauliString {
+    let mut p = PauliString::identity(n);
+    xs.iter().for_each(|&q| p.set_x(q));
+    zs.iter().for_each(|&q| p.set_z(q));
+    p.neg = neg;
+    p
+}
+
+#[test]
+fn dropped_correction_passes_zeros_and_fails_ones_on_a_real_compile() {
+    // (program, which correction of the trace to drop, its qubit, the
+    // diverging generator and its lifted Pauli under the Ones policy).
+    let cases = [
+        (programs::bv(16), 2, 9, 6, pauli(159, &[29], &[8], false)),
+        (
+            programs::rand_clifford(32),
+            3,
+            45,
+            14,
+            pauli(176, &[], &[16, 22, 31], true),
+        ),
+    ];
+    for (program, k, q, generator, lifted) in cases {
+        let result = compiled_on_144q(&program);
+        let mut events = result.circuit.sem_events().to_vec();
+        let at = events
+            .iter()
+            .enumerate()
+            .filter(|(_, e)| matches!(e.kind, SemEventKind::CondPauli { .. }))
+            .nth(k)
+            .map(|(i, _)| i)
+            .unwrap();
+        let dropped = events.remove(at);
+        assert!(
+            matches!(dropped.kind, SemEventKind::CondPauli { q: p, .. } if p == PhysQubit(q)),
+            "{dropped:?}"
+        );
+        let v = SchedVerifier::new(&program, 144, &events, &result.final_positions);
+        assert!(
+            v.verify(OutcomePolicy::Zeros).is_ok(),
+            "zeros never fires it"
+        );
+        assert_eq!(
+            v.verify(OutcomePolicy::Ones).unwrap_err(),
+            VerifyError::StabilizerMismatch {
+                generator,
+                pauli: lifted,
+                membership: Membership::InWithWrongSign,
+            }
+        );
+    }
+}
+
+#[test]
+fn swapped_final_positions_are_a_stabilizer_mismatch() {
+    let cases = [
+        (programs::bv(16), pauli(159, &[], &[29], false)),
+        (
+            programs::rand_clifford(32),
+            pauli(176, &[35, 144], &[], true),
+        ),
+    ];
+    for (program, lifted) in cases {
+        let result = compiled_on_144q(&program);
+        let mut positions = result.final_positions.clone();
+        let last = positions.len() - 1;
+        positions.swap(0, last);
+        let v = SchedVerifier::new(&program, 144, result.circuit.sem_events(), &positions);
+        assert_eq!(
+            v.verify_sweep().unwrap_err(),
+            VerifyError::StabilizerMismatch {
+                generator: 0,
+                pauli: lifted,
+                membership: Membership::NotIn,
+            }
+        );
+    }
+}
+
+#[test]
+fn an_x_on_a_non_image_qubit_entangles_that_ancilla() {
+    for program in [programs::bv(16), programs::rand_clifford(32)] {
+        let result = compiled_on_144q(&program);
+        let q = (0..144)
+            .find(|&q| !result.final_positions.contains(&PhysQubit(q)))
+            .unwrap();
+        let mut events = result.circuit.sem_events().to_vec();
+        events.push(SemEvent {
+            op: result.circuit.ops().len() as u32,
+            kind: SemEventKind::Gate1 {
+                q: PhysQubit(q),
+                g: SemGate1::X,
+            },
+        });
+        let v = SchedVerifier::new(&program, 144, &events, &result.final_positions);
+        assert_eq!(
+            v.verify_sweep().unwrap_err(),
+            VerifyError::AncillaEntangled { q: 3 }
+        );
+    }
 }
