@@ -161,7 +161,8 @@ impl Request {
         }
     }
 
-    /// Bounds queue + compile time, measured from submit.
+    /// Bounds queue + compile time, measured from submit. A deadline too
+    /// large to represent as an `Instant` means no deadline.
     pub fn with_deadline(mut self, deadline: Duration) -> Self {
         self.deadline = Some(deadline);
         self
@@ -662,7 +663,7 @@ fn serve_one(index: usize, shared: &Shared, job: Job) {
     let deadline = job
         .request
         .deadline
-        .map(|d| job.submitted.checked_add(d).unwrap_or(job.submitted));
+        .and_then(|d| job.submitted.checked_add(d));
     let shed_as = if job.request.cancel.is_cancelled() {
         Some(CompileError::Cancelled { rounds: 0 })
     } else if deadline.is_some_and(|d| Instant::now() >= d) {
@@ -1248,5 +1249,25 @@ mod tests {
         let stats = service.shutdown();
         assert_eq!(stats.shed, 1);
         assert_eq!(stats.submitted, stats.served + stats.shed + stats.failed);
+    }
+
+    #[test]
+    fn unrepresentable_deadline_means_no_deadline() {
+        let device = DeviceSpec::square(5, 1, 2).build_artifacts();
+        let service = CompileService::start(
+            Arc::clone(&device),
+            CompilerConfig::default(),
+            ServeOptions::default(),
+        );
+        let outcome = service
+            .submit_request(Request::new(Arc::new(programs::ghz(4))).with_deadline(Duration::MAX))
+            .unwrap()
+            .wait()
+            .unwrap();
+        assert!(!outcome.shed, "an overflowing deadline must not expire");
+        assert!(outcome.result.is_ok());
+        let stats = service.shutdown();
+        assert_eq!(stats.served, 1);
+        assert_eq!(stats.shed, 0);
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! Every graph walk in the stack — the local router's A*, the entrance
 //! table's region-restricted BFS, the GHZ tree coloring, the highway claim
-//! engine's lazy Dial search, the hop-distance table build — used to be a
+//! engine's lazy Dial search, the SABRE baseline's hop table — used to be a
 //! hand-rolled loop over its own adjacency representation. This module is
 //! the one audited home for all of them:
 //!
@@ -187,7 +187,7 @@ pub enum BfsControl {
 }
 
 /// Generation-stamped breadth-first search: distances invalidate in O(1)
-/// per run, so hot loops that BFS per source (hop-table build, entrance
+/// per run, so hot loops that BFS per source (SABRE's hop table, entrance
 /// table) share one kernel without reallocating or clearing device-sized
 /// arrays.
 ///
@@ -283,15 +283,23 @@ impl BfsKernel {
     }
 }
 
+/// How many settles the weighted search kernels run between polls of
+/// [`RoutingScratch::cancel`]. Small enough that a cancelled request
+/// leaves any search within microseconds; large enough that the atomic
+/// load is invisible in profiles.
+const CANCEL_POLL_INTERVAL: u32 = 256;
+
 /// Node-weighted A* over a [`RoutingGraph`] into a caller-provided
 /// [`RoutingScratch`], returning whether `to` was reached with its final
 /// cost settled.
 ///
 /// The search minimizes the sum of `weight(v)` over entered nodes (the
 /// start pays nothing), guided by the admissible *and consistent*
-/// heuristic `h` (each hop must cost at least `h(q) - h(v)`; the
-/// hop-distance table qualifies whenever every weight is ≥ 1). Nodes
-/// failing `enter` are impassable, except `to` which is always enterable.
+/// heuristic `h` (each hop must cost at least `h(q) - h(v)`; on a
+/// [`Topology`](crate::Topology) the Manhattan distance between grid
+/// coordinates qualifies whenever every weight is ≥ 1, because every link
+/// joins grid-adjacent cells). Nodes failing `enter` are impassable,
+/// except `to` which is always enterable.
 ///
 /// On success every node whose f-value does not exceed the goal cost is
 /// fully settled — exactly the set a backward
@@ -299,12 +307,6 @@ impl BfsKernel {
 /// visit, so reconstruction from the scratch is valid immediately and
 /// produces the same min-id path a plain Dijkstra would (see the
 /// equivalence argument on `reconstruct_path`).
-/// How many settles the weighted search kernels run between polls of
-/// [`RoutingScratch::cancel`]. Small enough that a cancelled request
-/// leaves any search within microseconds; large enough that the atomic
-/// load is invisible in profiles.
-const CANCEL_POLL_INTERVAL: u32 = 256;
-
 pub fn astar_route<G: RoutingGraph>(
     scratch: &mut RoutingScratch,
     g: &G,
@@ -489,6 +491,14 @@ impl DialSearch {
 mod tests {
     use super::*;
     use crate::spec::ChipletSpec;
+    use crate::Topology;
+
+    /// Manhattan distance on the global grid: the exact hop distance on a
+    /// square array with every cross link kept.
+    fn grid_distance(t: &Topology, a: PhysQubit, b: PhysQubit) -> u32 {
+        let ((ra, ca), (rb, cb)) = (t.coord(a), t.coord(b));
+        ra.abs_diff(rb) + ca.abs_diff(cb)
+    }
 
     #[test]
     fn csr_rows_are_sorted_and_symmetric() {
@@ -507,12 +517,12 @@ mod tests {
     }
 
     #[test]
-    fn bfs_distances_match_topology_table() {
+    fn bfs_distances_match_grid_distance_on_square() {
         let topo = ChipletSpec::square(5, 1, 2).build();
         let mut bfs = BfsKernel::default();
         bfs.run(&topo, PhysQubit(7), |_| true, |_, _| BfsControl::Expand);
         for q in topo.qubits() {
-            assert_eq!(bfs.distance(q), Some(topo.distance(PhysQubit(7), q)));
+            assert_eq!(bfs.distance(q), Some(grid_distance(&topo, PhysQubit(7), q)));
         }
     }
 
@@ -547,7 +557,10 @@ mod tests {
         bfs.reconstruct_into(&topo, PhysQubit(0), dst, &mut path);
         assert_eq!(path.first(), Some(&PhysQubit(0)));
         assert_eq!(path.last(), Some(&dst));
-        assert_eq!(path.len() as u32, topo.distance(PhysQubit(0), dst) + 1);
+        assert_eq!(
+            path.len() as u32,
+            grid_distance(&topo, PhysQubit(0), dst) + 1
+        );
         // Min-id: on a full grid the backward walk always prefers the
         // north/west predecessor, so the forward path runs east along row
         // 0 first, then south down the last column.
@@ -569,10 +582,10 @@ mod tests {
             to,
             |_| true,
             |_| 1,
-            |q| topo.distance(q, to),
+            |q| grid_distance(&topo, q, to),
         );
         assert!(reached);
-        assert_eq!(scratch.cost(to), (topo.distance(from, to), 0));
+        assert_eq!(scratch.cost(to), (grid_distance(&topo, from, to), 0));
     }
 
     #[test]
@@ -586,7 +599,7 @@ mod tests {
             PhysQubit(8),
             |_| false,
             |_| 1,
-            |q| topo.distance(q, PhysQubit(8)),
+            |q| grid_distance(&topo, q, PhysQubit(8)),
         );
         assert!(!reached, "everything but the endpoints is impassable");
     }
@@ -607,7 +620,7 @@ mod tests {
         assert!(dial.settled_below() > settled_near);
         assert_eq!(
             scratch.cost(PhysQubit(24)).0,
-            1 + topo.distance(PhysQubit(0), PhysQubit(24))
+            1 + grid_distance(&topo, PhysQubit(0), PhysQubit(24))
         );
     }
 

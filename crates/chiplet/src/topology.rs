@@ -1,6 +1,6 @@
 use crate::defect::DefectMap;
 use crate::ids::{ChipletId, LinkKind, PhysQubit};
-use crate::kernels::{BfsControl, BfsKernel, RoutingGraph};
+use crate::kernels::RoutingGraph;
 use crate::spec::{evenly_spaced, ChipletSpec};
 use crate::structures::{cells_coupled, has_qubit};
 
@@ -17,8 +17,10 @@ pub struct Link {
 ///
 /// Qubits are indexed densely in global-grid row-major order. The topology
 /// records, per qubit, its global grid coordinate, owning chiplet and
-/// adjacency (with on-chip/cross-chip tags), plus an all-pairs hop-distance
-/// table used by the routers.
+/// adjacency (with on-chip/cross-chip tags). It holds no distance table:
+/// every link joins grid-adjacent cells, so the Manhattan distance between
+/// [`Topology::coord`]s is a consistent routing heuristic, and callers that
+/// need exact hop distances run a [`BfsKernel`](crate::BfsKernel).
 ///
 /// The adjacency is stored flat in compressed-sparse-row form —
 /// `row_offsets` slicing `neighbors`/`kinds`, each row sorted by neighbor
@@ -30,13 +32,15 @@ pub struct Link {
 /// # Example
 ///
 /// ```
-/// use mech_chiplet::{ChipletSpec, PhysQubit};
+/// use mech_chiplet::{ChipletSpec, LinkKind};
 /// let topo = ChipletSpec::square(4, 1, 2).build();
 /// assert_eq!(topo.num_qubits(), 32);
-/// // Corner to far corner: Manhattan distance on the joined grid.
-/// let a = topo.qubit_at(0, 0).unwrap();
-/// let b = topo.qubit_at(3, 7).unwrap();
-/// assert_eq!(topo.distance(a, b), 10);
+/// // The two 4×4 chiplets meet at a seam; a cross-chip link still joins
+/// // grid-adjacent cells.
+/// let a = topo.qubit_at(0, 3).unwrap();
+/// let b = topo.qubit_at(0, 4).unwrap();
+/// assert_eq!(topo.coupling(a, b), Some(LinkKind::CrossChip));
+/// assert_eq!(topo.coord(b), (0, 4));
 /// ```
 #[derive(Debug, Clone)]
 pub struct Topology {
@@ -54,10 +58,6 @@ pub struct Topology {
     neighbors: Vec<PhysQubit>,
     /// Link kinds parallel to `neighbors`.
     kinds: Vec<LinkKind>,
-    /// Row-major `num_qubits × num_qubits` hop distances (`u16::MAX` =
-    /// unreachable — which only happens on defect-masked topologies; a
-    /// pristine valid spec is always connected).
-    dist: Vec<u16>,
     num_cross_links: usize,
     /// The defects masked out of the CSR rows (empty on pristine builds).
     defects: DefectMap,
@@ -108,7 +108,7 @@ impl Topology {
             row_offsets.push(neighbors.len() as u32);
         }
 
-        let mut topo = Topology {
+        Topology {
             spec,
             grid_rows,
             grid_cols,
@@ -118,24 +118,18 @@ impl Topology {
             row_offsets,
             neighbors,
             kinds,
-            dist: Vec::new(),
             num_cross_links,
             defects: DefectMap::default(),
-        };
-        topo.dist = topo.compute_all_pairs();
-        topo
+        }
     }
 
     /// A copy of this topology with every CSR edge killed by `defects`
     /// removed (dead qubits lose their whole row; dead links lose both
-    /// directed entries) and the all-pairs hop table recomputed over the
-    /// surviving fabric. Dead qubits keep their grid cell and index —
-    /// they exist physically — but have degree zero and hop distance
-    /// `u16::MAX` to everything, so no kernel can ever route through
-    /// them.
+    /// directed entries). Dead qubits keep their grid cell and index —
+    /// they exist physically — but have degree zero, so no kernel can
+    /// ever reach or route through them.
     ///
-    /// An empty `defects` returns a plain clone: no row is touched and
-    /// the hop table is byte-identical.
+    /// An empty `defects` returns a plain clone: no row is touched.
     pub fn masked(&self, defects: &DefectMap) -> Topology {
         let mut topo = self.clone();
         if defects.is_empty() {
@@ -165,7 +159,6 @@ impl Topology {
         topo.kinds = kinds;
         topo.num_cross_links = num_cross_links;
         topo.defects = defects.clone();
-        topo.dist = topo.compute_all_pairs();
         topo
     }
 
@@ -173,27 +166,6 @@ impl Topology {
     /// builds).
     pub fn defects(&self) -> &DefectMap {
         &self.defects
-    }
-
-    /// All-pairs hop distances on the shared stamped-BFS kernel: one
-    /// scratch serves every source, each row written straight from the
-    /// settle callback.
-    fn compute_all_pairs(&self) -> Vec<u16> {
-        let n = self.num_qubits() as usize;
-        let mut dist = vec![u16::MAX; n * n];
-        let mut bfs = BfsKernel::default();
-        for (src, row) in dist.chunks_exact_mut(n).enumerate() {
-            bfs.run(
-                self,
-                PhysQubit(src as u32),
-                |_| true,
-                |q, d| {
-                    row[q.index()] = d as u16;
-                    BfsControl::Expand
-                },
-            );
-        }
-        dist
     }
 
     /// The spec this topology was built from.
@@ -272,21 +244,6 @@ impl Topology {
         } else {
             None
         }
-    }
-
-    /// Hop distance between two qubits on the coupling graph.
-    pub fn distance(&self, a: PhysQubit, b: PhysQubit) -> u32 {
-        let n = self.num_qubits() as usize;
-        u32::from(self.dist[a.index() * n + b.index()])
-    }
-
-    /// Hop distances from `src` to every qubit, as one contiguous row of
-    /// the all-pairs table (`u16::MAX` = unreachable). The routers use
-    /// this as the A* heuristic: indexing a borrowed row in the inner loop
-    /// beats recomputing the row offset per lookup.
-    pub fn distances_from(&self, src: PhysQubit) -> &[u16] {
-        let n = self.num_qubits() as usize;
-        &self.dist[src.index() * n..(src.index() + 1) * n]
     }
 
     /// Iterates over all qubits.
@@ -444,6 +401,7 @@ fn link_lists(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pathfind::bfs_distances;
     use crate::spec::CouplingStructure;
 
     #[test]
@@ -507,12 +465,13 @@ mod tests {
     fn distances_are_symmetric_and_metric_on_samples() {
         let t = ChipletSpec::square(4, 2, 2).build();
         let qs = [PhysQubit(0), PhysQubit(7), PhysQubit(20), PhysQubit(63)];
+        let d = |a: PhysQubit, b: PhysQubit| bfs_distances(&t, a)[b.index()];
         for &a in &qs {
-            assert_eq!(t.distance(a, a), 0);
+            assert_eq!(d(a, a), 0);
             for &b in &qs {
-                assert_eq!(t.distance(a, b), t.distance(b, a));
+                assert_eq!(d(a, b), d(b, a));
                 for &c in &qs {
-                    assert!(t.distance(a, c) <= t.distance(a, b) + t.distance(b, c));
+                    assert!(d(a, c) <= d(a, b) + d(b, c));
                 }
             }
         }
@@ -524,7 +483,7 @@ mod tests {
             let t = ChipletSpec::new(s, 8, 2, 2).build();
             let far = PhysQubit(t.num_qubits() - 1);
             assert!(
-                t.distance(PhysQubit(0), far) < u32::from(u16::MAX),
+                bfs_distances(&t, PhysQubit(0))[far.index()] < u32::MAX,
                 "{s} disconnected"
             );
         }
@@ -573,7 +532,6 @@ mod tests {
         assert_eq!(m.row_offsets, t.row_offsets);
         assert_eq!(m.neighbors, t.neighbors);
         assert_eq!(m.kinds, t.kinds);
-        assert_eq!(m.dist, t.dist);
         assert_eq!(m.num_cross_links(), t.num_cross_links());
     }
 
@@ -583,12 +541,14 @@ mod tests {
         let dead = PhysQubit(12);
         let m = t.masked(&DefectMap::new().with_dead_qubit(dead));
         assert!(m.neighbors(dead).is_empty());
+        let from_corner = bfs_distances(&m, PhysQubit(0));
         for q in m.qubits() {
             assert!(!m.are_coupled(q, dead));
             if q != dead {
-                assert_eq!(m.distance(q, dead), u32::from(u16::MAX));
+                assert!(from_corner[q.index()] < u32::MAX);
             }
         }
+        assert_eq!(from_corner[dead.index()], u32::MAX);
         // Rows of live qubits keep their other neighbors.
         assert!(m.qubits().any(|q| !m.neighbors(q).is_empty()));
     }
@@ -604,8 +564,9 @@ mod tests {
         assert_eq!(m.coupling(b, a), None);
         assert_eq!(m.num_cross_links(), t.num_cross_links() - 1);
         // The device stays connected through the other cross links.
-        assert!(m.distance(a, b) < u32::from(u16::MAX));
-        assert!(m.distance(a, b) > 1);
+        let d = bfs_distances(&m, a)[b.index()];
+        assert!(d < u32::MAX);
+        assert!(d > 1);
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! The pipeline is split into two layers (DESIGN.md §11):
 //!
 //! * [`DeviceArtifacts`](crate::DeviceArtifacts) — everything derived from
-//!   the device alone (topology + hop table, highway layout, entrance
-//!   table, CSR claim skeleton), immutable and `Arc`-shared across any
+//!   the device alone (CSR topology, highway layout, entrance table, CSR
+//!   claim skeleton), immutable and `Arc`-shared across any
 //!   number of concurrent compilations;
 //! * [`CompileSession`] — the cheap per-request state (mapping, scratch
 //!   pools, occupancy, fronts), created per [`MechCompiler::compile`] call
@@ -182,7 +182,7 @@ impl MechCompiler {
 /// Sessions are created per [`MechCompiler::compile`] call and consumed by
 /// [`CompileSession::run`]. Construction is cheap — scratch buffers,
 /// mapping and occupancy are sized from the device, but nothing
-/// device-derived (entrance tables, CSR graphs, hop tables) is rebuilt —
+/// device-derived (entrance tables, CSR graphs) is rebuilt —
 /// so any number of sessions can run concurrently against one
 /// [`DeviceArtifacts`] bundle and produce schedules bit-identical to
 /// serial runs.

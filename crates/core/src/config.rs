@@ -104,10 +104,11 @@ impl CompileBudget {
         self
     }
 
-    /// Sets the deadline to `timeout` from now.
-    pub fn with_timeout(self, timeout: Duration) -> Self {
-        let now = Instant::now();
-        self.with_deadline(now.checked_add(timeout).unwrap_or(now))
+    /// Sets the deadline to `timeout` from now. A timeout too large to
+    /// represent as an `Instant` means no deadline.
+    pub fn with_timeout(mut self, timeout: Duration) -> Self {
+        self.deadline = Instant::now().checked_add(timeout);
+        self
     }
 
     /// Caps the number of scheduling rounds.
@@ -183,6 +184,13 @@ mod tests {
     fn expired_deadline_fires() {
         let b = CompileBudget::unlimited().with_deadline(Instant::now());
         assert_eq!(b.check(0), Err(BudgetExceeded::Deadline));
+    }
+
+    #[test]
+    fn unrepresentable_timeout_means_no_deadline() {
+        let b = CompileBudget::unlimited().with_timeout(Duration::MAX);
+        assert_eq!(b.deadline, None);
+        assert!(b.check(0).is_ok());
     }
 
     #[test]

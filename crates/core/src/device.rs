@@ -3,8 +3,8 @@
 //! The compile pipeline is split into two layers (DESIGN.md §11):
 //!
 //! * [`DeviceArtifacts`] — everything derived from the device alone:
-//!   the CSR [`Topology`] with its all-pairs hop table, the
-//!   [`HighwayLayout`], the eager [`EntranceTable`], and the highway
+//!   the CSR [`Topology`] (adjacency only; it holds no distance table),
+//!   the [`HighwayLayout`], the eager [`EntranceTable`], and the highway
 //!   [`HighwaySkeleton`] (CSR claim graph). Immutable, `Send + Sync`,
 //!   shared across concurrent compilations via `Arc`;
 //! * `CompileSession` (in [`compiler`](crate::MechCompiler)) — the cheap
@@ -131,7 +131,7 @@ impl DeviceSpec {
 }
 
 /// Everything the compiler derives from a device and never mutates:
-/// topology (CSR adjacency + all-pairs hop table), highway layout,
+/// topology (CSR adjacency; no distance table), highway layout,
 /// entrance table, and the highway claim-graph skeleton. Built once per
 /// [`DeviceSpec`], shared across any number of concurrent compilations.
 #[derive(Debug)]
@@ -190,7 +190,7 @@ impl DeviceArtifacts {
         &self.spec
     }
 
-    /// The chiplet-array topology (CSR adjacency + all-pairs hop table).
+    /// The chiplet-array topology (CSR adjacency and grid coordinates).
     pub fn topology(&self) -> &Topology {
         &self.topo
     }

@@ -9,9 +9,10 @@
 //! Paths always avoid *pinned* positions (hubs of open shuttles and
 //! highway qubits claimed by live GHZ states).
 //!
-//! Pathfinding is A* over the coupling graph with the precomputed
-//! hop-distance table as the (admissible, consistent) heuristic, running
-//! in a generation-stamped [`RoutingScratch`] so steady-state searches
+//! Pathfinding is A* over the coupling graph with the Manhattan distance
+//! between grid coordinates as the (admissible, consistent) heuristic —
+//! every link joins grid-adjacent cells and every step costs at least 1 —
+//! running in a generation-stamped [`RoutingScratch`] so steady-state searches
 //! allocate nothing. Paths are reconstructed backwards by minimum-id
 //! predecessor, which reproduces exactly the tree a plain Dijkstra with
 //! `(cost, qubit)` pop order builds — the search upgrade cannot change
@@ -107,9 +108,10 @@ impl<'a> LocalRouter<'a> {
     /// swap that puts the ancilla back once the traveler has passed). A
     /// run of `k` consecutive highway qubits therefore costs `2k + 1`
     /// swaps. The search runs on the shared [`astar_route`] kernel over the
-    /// topology's CSR rows, with the hop-distance table as the heuristic
-    /// (each hop costs at least 1). Leaves the node path from `from` to
-    /// `to` inclusive in `self.scratch.path`.
+    /// topology's CSR rows, with the grid (Manhattan) distance to `to` as
+    /// the heuristic: each link changes it by exactly 1 and each hop costs
+    /// at least 1, so it is consistent. Leaves the node path from `from`
+    /// to `to` inclusive in `self.scratch.path`.
     fn find_path<S: QubitSet>(
         &mut self,
         from: PhysQubit,
@@ -130,9 +132,7 @@ impl<'a> LocalRouter<'a> {
             return Ok(());
         }
 
-        // Hop distances are symmetric, so `to`'s table row serves as the
-        // distance-to-goal heuristic.
-        let h_row = topo.distances_from(to);
+        let (r_to, c_to) = topo.coord(to);
         let reached = astar_route(
             scratch,
             topo,
@@ -140,7 +140,10 @@ impl<'a> LocalRouter<'a> {
             to,
             |v| !pinned.contains_qubit(v),
             |v| if layout.is_highway(v) { 2 } else { 1 },
-            |q| u32::from(h_row[q.index()]),
+            |q| {
+                let (r, c) = topo.coord(q);
+                r.abs_diff(r_to) + c.abs_diff(c_to)
+            },
         );
         if !reached {
             return Err(RoutingError::Disconnected { from, to });
@@ -314,7 +317,7 @@ impl<'a> LocalRouter<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mech_chiplet::{ChipletSpec, CostModel, CouplingStructure};
+    use mech_chiplet::{ChipletSpec, CostModel, CouplingStructure, DefectMap, LinkKind};
     use mech_circuit::Qubit;
     use std::cmp::Reverse;
     use std::collections::HashSet;
@@ -382,23 +385,60 @@ mod tests {
 
     #[test]
     fn path_cost_matches_plain_dijkstra() {
-        // The A* upgrade must agree with an oracle Dijkstra on both the
-        // optimal cost and the reconstructed path, for every pair.
+        // The A* search must agree with an oracle Dijkstra on both the
+        // optimal cost and the reconstructed path. The grid-distance
+        // heuristic is exact only on full square arrays, so the cases
+        // cover every coupling structure, a sparse-cross-link device and a
+        // defect-masked one, where it underestimates.
+        let mut cases: Vec<(String, Topology, HighwayLayout)> = CouplingStructure::ALL
+            .into_iter()
+            .map(|s| {
+                let topo = ChipletSpec::new(s, 7, 2, 2).build();
+                let hw = HighwayLayout::generate(&topo, 1);
+                (s.to_string(), topo, hw)
+            })
+            .collect();
+        let sparse = ChipletSpec::square(7, 2, 2)
+            .with_cross_links_per_edge(1)
+            .build();
+        let sparse_hw = HighwayLayout::generate(&sparse, 1);
+        cases.push(("sparse".into(), sparse, sparse_hw));
         let (topo, hw) = setup();
-        let mut r = LocalRouter::new(&topo, &hw);
-        let empty = HashSet::new();
         let data = hw.data_qubits();
-        let from = data[0];
-        for &to in data.iter().skip(1).step_by(7) {
-            r.find_path(from, to, &empty).unwrap();
-            let astar_path = r.scratch.path.clone();
-            let (cost, path) = dijkstra_oracle(&topo, &hw, from, to);
-            let astar_cost: u32 = astar_path[1..]
-                .iter()
-                .map(|&q| if hw.is_highway(q) { 2 } else { 1 })
-                .sum();
-            assert_eq!(astar_cost, cost, "cost mismatch {from}->{to}");
-            assert_eq!(astar_path, path, "path mismatch {from}->{to}");
+        let seam = topo
+            .qubits()
+            .find_map(|q| {
+                topo.neighbor_links(q)
+                    .find(|l| l.kind == LinkKind::CrossChip)
+                    .map(|l| (q, l.to))
+            })
+            .unwrap();
+        let defects = DefectMap::new()
+            .with_dead_qubit(data[data.len() / 2])
+            .with_dead_qubit(hw.nodes()[hw.nodes().len() / 2])
+            .with_dead_link(seam.0, seam.1);
+        cases.push(("masked".into(), topo.masked(&defects), hw.pruned(&defects)));
+
+        let empty = HashSet::new();
+        for (name, topo, hw) in &cases {
+            let mut r = LocalRouter::new(topo, hw);
+            let data = hw.data_qubits();
+            for &from in data.iter().step_by(data.len() / 4) {
+                for &to in data.iter().step_by(3) {
+                    let (cost, path) = dijkstra_oracle(topo, hw, from, to);
+                    if r.find_path(from, to, &empty).is_err() {
+                        assert_eq!(cost, u32::MAX, "{name}: A* missed {from}->{to}");
+                        continue;
+                    }
+                    let astar_path = r.scratch.path.clone();
+                    let astar_cost: u32 = astar_path[1..]
+                        .iter()
+                        .map(|&q| if hw.is_highway(q) { 2 } else { 1 })
+                        .sum();
+                    assert_eq!(astar_cost, cost, "{name}: cost mismatch {from}->{to}");
+                    assert_eq!(astar_path, path, "{name}: path mismatch {from}->{to}");
+                }
+            }
         }
     }
 

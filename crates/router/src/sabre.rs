@@ -12,12 +12,14 @@
 //!
 //! where `d(g)` is the hop distance between `g`'s mapped operands, `E` an
 //! *extended set* of upcoming gates, and `decay` discourages ping-ponging
-//! the same qubits. The router runs on the full coupling graph — cross-chip
-//! links included, exactly like the paper's baseline — and schedules ops
-//! ASAP so depth and operation counts fall out of the same
-//! [`PhysCircuit`] machinery used by MECH.
+//! the same qubits. `d` reads a private all-pairs hop table built once per
+//! [`sabre_route`] call: nothing else in the stack needs exact hop
+//! distances, so the device tier keeps none. The router runs on the full
+//! coupling graph — cross-chip links included, exactly like the paper's
+//! baseline — and schedules ops ASAP so depth and operation counts fall
+//! out of the same [`PhysCircuit`] machinery used by MECH.
 
-use mech_chiplet::{CostModel, PhysCircuit, PhysQubit, Topology};
+use mech_chiplet::{bfs_distances, CostModel, PhysCircuit, PhysQubit, Topology};
 use mech_circuit::{Circuit, CommutationDag, Gate, GateId, Qubit};
 
 use crate::mapping::Mapping;
@@ -81,6 +83,9 @@ pub fn sabre_route(circuit: &Circuit, topo: &Topology, cost: CostModel) -> PhysC
     let slots: Vec<PhysQubit> = (0..circuit.num_qubits()).map(PhysQubit).collect();
     let mut mapping = Mapping::trivial(circuit.num_qubits(), &slots);
     let mut pc = PhysCircuit::new(topo.num_qubits(), cost);
+    // Exact hop distances for the swap score and `force_route`: one BFS
+    // per source, once per call.
+    let hops: Vec<Vec<u32>> = topo.qubits().map(|q| bfs_distances(topo, q)).collect();
 
     let dag = CommutationDag::new(circuit);
     let mut sched = dag.schedule();
@@ -184,7 +189,7 @@ pub fn sabre_route(circuit: &Circuit, topo: &Topology, cost: CostModel) -> PhysC
             // Fallback: force the first front gate together along a
             // shortest path (guards against heuristic livelock).
             let (_, a, b) = front[0];
-            force_route(&mut pc, topo, &mut mapping, a, b);
+            force_route(&mut pc, topo, &hops, &mut mapping, a, b);
             need_scan = true;
             stagnant = 0;
             continue;
@@ -215,7 +220,7 @@ pub fn sabre_route(circuit: &Circuit, topo: &Topology, cost: CostModel) -> PhysC
             };
             let pa = map_through(mapping.phys(x));
             let pb = map_through(mapping.phys(y));
-            f64::from(topo.distance(pa, pb))
+            f64::from(hops[pa.index()][pb.index()])
         };
 
         let mut best: Option<((PhysQubit, PhysQubit), f64)> = None;
@@ -284,7 +289,14 @@ pub fn sabre_route(circuit: &Circuit, topo: &Topology, cost: CostModel) -> PhysC
 }
 
 /// Moves `a` adjacent to `b` along a shortest path unconditionally.
-fn force_route(pc: &mut PhysCircuit, topo: &Topology, mapping: &mut Mapping, a: Qubit, b: Qubit) {
+fn force_route(
+    pc: &mut PhysCircuit,
+    topo: &Topology,
+    hops: &[Vec<u32>],
+    mapping: &mut Mapping,
+    a: Qubit,
+    b: Qubit,
+) {
     let target = mapping.phys(b);
     loop {
         let cur = mapping.phys(a);
@@ -295,7 +307,7 @@ fn force_route(pc: &mut PhysCircuit, topo: &Topology, mapping: &mut Mapping, a: 
             .neighbors(cur)
             .iter()
             .copied()
-            .min_by_key(|&n| topo.distance(n, target))
+            .min_by_key(|&n| hops[n.index()][target.index()])
             .expect("connected topology");
         pc.swap(topo, cur, next);
         mapping.swap_phys(cur, next);

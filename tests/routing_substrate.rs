@@ -12,8 +12,11 @@
 //! * `coupling`'s binary search must agree with a linear scan of the
 //!   reference lists, both ways;
 //! * BFS distances computed by the stamped kernel over the CSR rows must
-//!   match a reference BFS over the legacy lists (and the topology's
-//!   all-pairs hop table);
+//!   match a reference BFS over the legacy lists, on pristine, sparse and
+//!   defect-masked topologies;
+//! * every link joins grid-adjacent cells, so the grid (Manhattan)
+//!   distance — the local router's A* heuristic — is at most the hop
+//!   distance, and changes by exactly 1 per hop (consistency);
 //! * the entrance search must reproduce the legacy traversal exactly —
 //!   its mid-level cutoff and first-visited accesses are pinned by the
 //!   golden schedules, so the scan-order graph it runs on is contract,
@@ -23,7 +26,9 @@ use std::collections::VecDeque;
 
 use proptest::prelude::*;
 
-use mech_chiplet::{ChipletSpec, CouplingStructure, HighwayLayout, Link, PhysQubit, Topology};
+use mech_chiplet::{
+    ChipletSpec, CouplingStructure, DefectMap, HighwayLayout, Link, PhysQubit, Topology,
+};
 use mech_highway::entrance_candidates;
 
 fn arb_structure() -> impl Strategy<Value = CouplingStructure> {
@@ -104,10 +109,42 @@ fn build(
     spec.build()
 }
 
+/// `topo` with the qubits and links picked by `qubit_picks` / `link_picks`
+/// (indices reduced modulo the qubit and link counts) masked dead.
+fn masked(topo: &Topology, qubit_picks: &[u32], link_picks: &[u32]) -> Topology {
+    let n = topo.num_qubits();
+    let links: Vec<(PhysQubit, PhysQubit)> = topo
+        .qubits()
+        .flat_map(|q| {
+            topo.neighbors(q)
+                .iter()
+                .filter(move |&&b| q < b)
+                .map(move |&b| (q, b))
+        })
+        .collect();
+    let mut map = DefectMap::new();
+    for &pick in qubit_picks {
+        map = map.with_dead_qubit(PhysQubit(pick % n));
+    }
+    for &pick in link_picks {
+        let (a, b) = links[pick as usize % links.len()];
+        map = map.with_dead_link(a, b);
+    }
+    topo.masked(&map)
+}
+
+/// Manhattan distance between two qubits' global grid cells.
+fn grid_distance(topo: &Topology, a: PhysQubit, b: PhysQubit) -> u32 {
+    let ((ra, ca), (rb, cb)) = (topo.coord(a), topo.coord(b));
+    ra.abs_diff(rb) + ca.abs_diff(cb)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// CSR rows are sorted and hold exactly the reference builder's links.
+    /// CSR rows are sorted and hold exactly the reference builder's links,
+    /// on pristine, sparse and defect-masked topologies, and every link
+    /// joins cells at grid distance 1.
     #[test]
     fn csr_matches_reference_adjacency(
         structure in arb_structure(),
@@ -115,8 +152,10 @@ proptest! {
         rows in 1u32..3,
         cols in 1u32..4,
         keep in prop::option::of(1u32..5),
+        qubit_picks in prop::collection::vec(0u32..10_000, 0..4),
+        link_picks in prop::collection::vec(0u32..10_000, 0..4),
     ) {
-        let topo = build(structure, d, rows, cols, keep);
+        let topo = masked(&build(structure, d, rows, cols, keep), &qubit_picks, &link_picks);
         let reference = topo.reference_adjacency();
         prop_assert_eq!(reference.len(), topo.num_qubits() as usize);
         for q in topo.qubits() {
@@ -129,6 +168,9 @@ proptest! {
             legacy.sort_by_key(|l| l.to);
             let flat: Vec<Link> = topo.neighbor_links(q).collect();
             prop_assert_eq!(flat, legacy, "links at {}", q);
+            for &nb in row {
+                prop_assert_eq!(grid_distance(&topo, q, nb), 1, "link {}-{} spans cells", q, nb);
+            }
         }
     }
 
@@ -158,23 +200,32 @@ proptest! {
     }
 
     /// Kernel BFS distances over the CSR match a reference BFS over the
-    /// legacy lists, and the precomputed all-pairs table.
+    /// legacy lists on pristine, sparse and defect-masked topologies, and
+    /// the grid distance never exceeds them.
     #[test]
     fn bfs_distances_match_reference(
         structure in arb_structure(),
         d in 4u32..9,
         rows in 1u32..3,
         cols in 1u32..3,
+        keep in prop::option::of(1u32..4),
+        qubit_picks in prop::collection::vec(0u32..10_000, 0..4),
+        link_picks in prop::collection::vec(0u32..10_000, 0..4),
         src_seed in 0u32..10_000,
     ) {
-        let topo = build(structure, d, rows, cols, None);
+        let topo = masked(&build(structure, d, rows, cols, keep), &qubit_picks, &link_picks);
         let reference = topo.reference_adjacency();
         let src = PhysQubit(src_seed % topo.num_qubits());
         let oracle = reference_bfs(&reference, src);
         let kernel = mech_chiplet::bfs_distances(&topo, src);
         prop_assert_eq!(&kernel, &oracle);
         for q in topo.qubits() {
-            prop_assert_eq!(topo.distance(src, q), oracle[q.index()], "table at {}", q);
+            if kernel[q.index()] != u32::MAX {
+                prop_assert!(
+                    grid_distance(&topo, src, q) <= kernel[q.index()],
+                    "grid distance exceeds hops at {}", q
+                );
+            }
         }
     }
 
