@@ -18,6 +18,8 @@ pub enum CircuitError {
         /// The repeated qubit.
         qubit: Qubit,
     },
+    /// A commutation DAG was paired with a circuit it was not built from.
+    DagMismatch,
 }
 
 impl fmt::Display for CircuitError {
@@ -28,6 +30,9 @@ impl fmt::Display for CircuitError {
             }
             CircuitError::DuplicateOperand { qubit } => {
                 write!(f, "two-qubit gate uses {qubit} for both operands")
+            }
+            CircuitError::DagMismatch => {
+                write!(f, "commutation DAG was built from a different circuit")
             }
         }
     }

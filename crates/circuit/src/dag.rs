@@ -13,12 +13,11 @@
 //! block on each operand fully executed?", which [`DagSchedule`] tracks with
 //! counters.
 
-use std::collections::BTreeSet;
-
 use crate::aggregate::AggregationFront;
-use crate::circuit::Circuit;
+use crate::circuit::{Circuit, CircuitError};
 use crate::commute::PauliRole;
 use crate::gate::Gate;
+use crate::qubit::Qubit;
 
 /// Identifier of a gate: its position in the circuit's program order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -29,6 +28,100 @@ impl GateId {
     pub fn index(self) -> usize {
         self.0 as usize
     }
+}
+
+/// A set of gate ids, one bit per gate of the program: O(1) insert,
+/// remove and contains, iteration ascending by [`GateId`].
+#[derive(Debug, Clone)]
+pub(crate) struct GateSet {
+    pub(crate) words: Vec<u64>,
+    len: usize,
+    /// Every word below `low` is zero.
+    low: usize,
+}
+
+impl GateSet {
+    pub(crate) fn new(num_gates: usize) -> Self {
+        GateSet {
+            words: vec![0; num_gates.div_ceil(64)],
+            len: 0,
+            low: 0,
+        }
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    pub(crate) fn contains(&self, g: GateId) -> bool {
+        self.words[g.index() / 64] >> (g.index() % 64) & 1 == 1
+    }
+
+    /// Adds `g`; returns whether it was absent.
+    pub(crate) fn insert(&mut self, g: GateId) -> bool {
+        let (w, bit) = (g.index() / 64, 1u64 << (g.index() % 64));
+        let absent = self.words[w] & bit == 0;
+        self.low = if self.len == 0 { w } else { self.low.min(w) };
+        self.words[w] |= bit;
+        self.len += usize::from(absent);
+        absent
+    }
+
+    /// Drops `g`; returns whether it was present.
+    pub(crate) fn remove(&mut self, g: GateId) -> bool {
+        let (w, bit) = (g.index() / 64, 1u64 << (g.index() % 64));
+        let present = self.words[w] & bit != 0;
+        self.words[w] &= !bit;
+        self.len -= usize::from(present);
+        if w == self.low {
+            self.skip_empty_words();
+        }
+        present
+    }
+
+    fn skip_empty_words(&mut self) {
+        while self.len > 0 && self.words[self.low] == 0 {
+            self.low += 1;
+        }
+    }
+
+    /// Removes and returns the lowest id.
+    pub(crate) fn pop_first(&mut self) -> Option<GateId> {
+        if self.len == 0 {
+            return None;
+        }
+        self.skip_empty_words();
+        let w = self.words[self.low];
+        self.words[self.low] = w & (w - 1);
+        self.len -= 1;
+        Some(GateId((self.low * 64) as u32 + w.trailing_zeros()))
+    }
+
+    /// Empties the set, word by word (the next insert resets `low`).
+    pub(crate) fn clear(&mut self) {
+        self.words.fill(0);
+        self.len = 0;
+    }
+
+    /// The members, ascending; stops once all `len` are out.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = GateId> + '_ {
+        set_bits(self.low, self.words[self.low..].iter().copied()).take(self.len)
+    }
+}
+
+/// The ids of the set bits of `words`, ascending, where the first word
+/// holds ids `64 * first..`.
+pub(crate) fn set_bits(
+    first: usize,
+    words: impl Iterator<Item = u64>,
+) -> impl Iterator<Item = GateId> {
+    words.enumerate().flat_map(move |(i, mut w)| {
+        std::iter::from_fn(move || {
+            let bit = (w != 0).then(|| w.trailing_zeros())?;
+            w &= w - 1;
+            Some(GateId(((first + i) * 64) as u32 + bit))
+        })
+    })
 }
 
 /// A maximal run of same-role gates on one qubit.
@@ -121,20 +214,30 @@ impl CommutationDag {
         self.num_gates
     }
 
-    /// The gates that must complete before `g` may execute: all members of
-    /// the preceding block on each of `g`'s operands.
+    /// Checks that this DAG was built from `circuit`: the same width, the
+    /// same gate count and every gate on the same operands. (Gate kinds
+    /// are not compared, which keeps the check as cheap as
+    /// [`Circuit::validate`].)
     ///
-    /// Intended for tests and diagnostics; the scheduler never materializes
-    /// this set.
-    pub fn predecessors(&self, g: GateId) -> Vec<GateId> {
-        let mut preds = BTreeSet::new();
-        for pos in self.gate_pos[g.index()].iter().flatten() {
-            if pos.block > 0 {
-                let prev = &self.blocks[pos.qubit as usize][pos.block as usize - 1];
-                preds.extend(prev.gates.iter().copied());
+    /// # Errors
+    ///
+    /// [`CircuitError::DagMismatch`] when it was not.
+    pub fn check_built_from(&self, circuit: &Circuit) -> Result<(), CircuitError> {
+        let same_operands = |(gate, pos): (&Gate, &[Option<BlockPos>; 2])| {
+            let on = |slot: usize, q: Qubit| pos[slot].is_some_and(|p| p.qubit == q.0);
+            match *gate {
+                Gate::One { q, .. } | Gate::Measure { q } => on(0, q) && pos[1].is_none(),
+                Gate::Two { a, b, .. } => on(0, a) && on(1, b),
             }
-        }
-        preds.into_iter().collect()
+        };
+        let built_from = self.blocks.len() == circuit.num_qubits() as usize
+            && self.num_gates == circuit.len()
+            && circuit
+                .gates()
+                .iter()
+                .zip(&self.gate_pos)
+                .all(same_operands);
+        built_from.then_some(()).ok_or(CircuitError::DagMismatch)
     }
 
     /// Starts a scheduling session over this DAG.
@@ -153,6 +256,12 @@ impl CommutationDag {
 /// drain the cheap side with [`DagSchedule::pop_ready_one_qubit`], and
 /// commit gates with [`DagSchedule::complete`]. The combined front is
 /// always an antichain of pairwise-commuting gates.
+///
+/// Each side is a bitset over gate ids (one bit per program gate):
+/// insert, remove and membership are O(1), popping the lowest id resumes
+/// from a low-word hint, and iteration comes out ascending and stops once
+/// every member is out, so a full rescan of a small front costs only the
+/// words between its lowest and highest members.
 #[derive(Debug, Clone)]
 pub struct DagSchedule<'a> {
     dag: &'a CommutationDag,
@@ -160,9 +269,9 @@ pub struct DagSchedule<'a> {
     done: Vec<Vec<u32>>,
     completed: Vec<bool>,
     /// Ready one-qubit gates and measurements.
-    ready_one: BTreeSet<GateId>,
+    ready_one: GateSet,
     /// Ready two-qubit gates.
-    ready_two: BTreeSet<GateId>,
+    ready_two: GateSet,
     num_completed: usize,
     /// Incrementally maintained aggregation candidates (compiler sessions
     /// attach one; plain schedules don't pay for it).
@@ -176,8 +285,8 @@ impl<'a> DagSchedule<'a> {
             dag,
             done,
             completed: vec![false; dag.num_gates],
-            ready_one: BTreeSet::new(),
-            ready_two: BTreeSet::new(),
+            ready_one: GateSet::new(dag.num_gates),
+            ready_two: GateSet::new(dag.num_gates),
             num_completed: 0,
             aggregation: None,
         };
@@ -205,7 +314,7 @@ impl<'a> DagSchedule<'a> {
             .all(|pos| pos.block == 0 || self.block_done(pos.qubit, pos.block - 1))
     }
 
-    fn front_of(&mut self, g: GateId) -> &mut BTreeSet<GateId> {
+    fn front_of(&mut self, g: GateId) -> &mut GateSet {
         if self.dag.two_qubit[g.index()] {
             &mut self.ready_two
         } else {
@@ -238,7 +347,7 @@ impl<'a> DagSchedule<'a> {
             "aggregation front attached to a different circuit"
         );
         let mut front = AggregationFront::new(circuit);
-        for &g in &self.ready_two {
+        for g in self.ready_two.iter() {
             front.insert(g);
         }
         self.aggregation = Some(front);
@@ -261,30 +370,14 @@ impl<'a> DagSchedule<'a> {
         }
     }
 
-    /// The currently executable gates, in ascending [`GateId`] order.
-    ///
-    /// Allocates a fresh `Vec` — intended for tests and diagnostics only;
-    /// the compiler's per-round path iterates the partitioned front
-    /// borrow-based instead.
-    pub fn ready_snapshot(&self) -> Vec<GateId> {
-        let mut all: Vec<GateId> = self
-            .ready_one
-            .iter()
-            .chain(self.ready_two.iter())
-            .copied()
-            .collect();
-        all.sort_unstable();
-        all
-    }
-
     /// Iterates the ready one-qubit gates and measurements, ascending.
     pub fn ready_one_qubit(&self) -> impl Iterator<Item = GateId> + '_ {
-        self.ready_one.iter().copied()
+        self.ready_one.iter()
     }
 
     /// Iterates the ready two-qubit gates, ascending.
     pub fn ready_two_qubit(&self) -> impl Iterator<Item = GateId> + '_ {
-        self.ready_two.iter().copied()
+        self.ready_two.iter()
     }
 
     /// Number of currently ready gates (both kinds).
@@ -306,9 +399,9 @@ impl<'a> DagSchedule<'a> {
     /// `true` when `g` is currently in the ready set.
     pub fn is_gate_ready(&self, g: GateId) -> bool {
         if self.dag.two_qubit[g.index()] {
-            self.ready_two.contains(&g)
+            self.ready_two.contains(g)
         } else {
-            self.ready_one.contains(&g)
+            self.ready_one.contains(g)
         }
     }
 
@@ -335,7 +428,7 @@ impl<'a> DagSchedule<'a> {
     /// dependency), which indicates a compiler bug.
     pub fn complete(&mut self, g: GateId) {
         assert!(
-            self.front_of(g).remove(&g),
+            self.front_of(g).remove(g),
             "gate {g:?} completed while not ready"
         );
         self.finish(g);
@@ -371,7 +464,27 @@ impl<'a> DagSchedule<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::qubit::Qubit;
+    use std::collections::BTreeSet;
+
+    /// The gates that must complete before `g` may execute: all members
+    /// of the preceding block on each of `g`'s operands.
+    fn predecessors(dag: &CommutationDag, g: GateId) -> Vec<GateId> {
+        let mut preds = BTreeSet::new();
+        for pos in dag.gate_pos[g.index()].iter().flatten() {
+            if pos.block > 0 {
+                let prev = &dag.blocks[pos.qubit as usize][pos.block as usize - 1];
+                preds.extend(prev.gates.iter().copied());
+            }
+        }
+        preds.into_iter().collect()
+    }
+
+    /// The whole ready front, ascending.
+    fn snapshot(s: &DagSchedule<'_>) -> Vec<GateId> {
+        let mut all: Vec<GateId> = s.ready_one_qubit().chain(s.ready_two_qubit()).collect();
+        all.sort_unstable();
+        all
+    }
 
     #[test]
     fn sequential_cnot_chain_is_serialized() {
@@ -382,11 +495,11 @@ mod tests {
         c.cnot(Qubit(2), Qubit(3)).unwrap();
         let dag = CommutationDag::new(&c);
         let mut s = dag.schedule();
-        assert_eq!(s.ready_snapshot(), vec![GateId(0)]);
+        assert_eq!(snapshot(&s), vec![GateId(0)]);
         s.complete(GateId(0));
-        assert_eq!(s.ready_snapshot(), vec![GateId(1)]);
+        assert_eq!(snapshot(&s), vec![GateId(1)]);
         s.complete(GateId(1));
-        assert_eq!(s.ready_snapshot(), vec![GateId(2)]);
+        assert_eq!(snapshot(&s), vec![GateId(2)]);
         s.complete(GateId(2));
         assert!(s.is_finished());
     }
@@ -399,7 +512,7 @@ mod tests {
         }
         let dag = CommutationDag::new(&c);
         let s = dag.schedule();
-        assert_eq!(s.ready_snapshot().len(), 4);
+        assert_eq!(snapshot(&s).len(), 4);
     }
 
     #[test]
@@ -410,7 +523,7 @@ mod tests {
         }
         let dag = CommutationDag::new(&c);
         let s = dag.schedule();
-        assert_eq!(s.ready_snapshot().len(), 4);
+        assert_eq!(snapshot(&s).len(), 4);
     }
 
     #[test]
@@ -421,7 +534,7 @@ mod tests {
         c.cnot(Qubit(0), Qubit(2)).unwrap();
         let dag = CommutationDag::new(&c);
         let s = dag.schedule();
-        assert_eq!(s.ready_snapshot().len(), 3);
+        assert_eq!(snapshot(&s).len(), 3);
     }
 
     #[test]
@@ -432,11 +545,11 @@ mod tests {
         c.cnot(Qubit(0), Qubit(2)).unwrap();
         let dag = CommutationDag::new(&c);
         let mut s = dag.schedule();
-        assert_eq!(s.ready_snapshot(), vec![GateId(0)]);
+        assert_eq!(snapshot(&s), vec![GateId(0)]);
         s.complete(GateId(0));
-        assert_eq!(s.ready_snapshot(), vec![GateId(1)]);
+        assert_eq!(snapshot(&s), vec![GateId(1)]);
         s.complete(GateId(1));
-        assert_eq!(s.ready_snapshot(), vec![GateId(2)]);
+        assert_eq!(snapshot(&s), vec![GateId(2)]);
     }
 
     #[test]
@@ -448,13 +561,13 @@ mod tests {
         c.rz(Qubit(0), 0.2).unwrap();
         c.x(Qubit(0)).unwrap();
         let dag = CommutationDag::new(&c);
-        assert_eq!(dag.predecessors(GateId(2)), vec![GateId(0), GateId(1)]);
+        assert_eq!(predecessors(&dag, GateId(2)), vec![GateId(0), GateId(1)]);
         let mut s = dag.schedule();
-        assert_eq!(s.ready_snapshot(), vec![GateId(0), GateId(1)]);
+        assert_eq!(snapshot(&s), vec![GateId(0), GateId(1)]);
         s.complete(GateId(1));
-        assert_eq!(s.ready_snapshot(), vec![GateId(0)]); // x still blocked
+        assert_eq!(snapshot(&s), vec![GateId(0)]); // x still blocked
         s.complete(GateId(0));
-        assert_eq!(s.ready_snapshot(), vec![GateId(2)]);
+        assert_eq!(snapshot(&s), vec![GateId(2)]);
     }
 
     #[test]
@@ -462,7 +575,7 @@ mod tests {
         let mut c = Circuit::new(2);
         c.cnot(Qubit(0), Qubit(1)).unwrap();
         let dag = CommutationDag::new(&c);
-        assert!(dag.predecessors(GateId(0)).is_empty());
+        assert!(predecessors(&dag, GateId(0)).is_empty());
     }
 
     #[test]
@@ -474,9 +587,9 @@ mod tests {
         let dag = CommutationDag::new(&c);
         let mut s = dag.schedule();
         s.complete(GateId(0));
-        assert_eq!(s.ready_snapshot(), vec![GateId(1)]);
+        assert_eq!(snapshot(&s), vec![GateId(1)]);
         s.complete(GateId(1));
-        assert_eq!(s.ready_snapshot(), vec![GateId(2)]);
+        assert_eq!(snapshot(&s), vec![GateId(2)]);
         s.complete(GateId(2));
         assert!(s.is_finished());
         assert_eq!(s.completed_count(), 3);
@@ -494,6 +607,75 @@ mod tests {
     }
 
     #[test]
+    fn ready_fronts_match_a_reference_model_across_word_boundaries() {
+        // Random completion orders on programs whose sizes straddle the
+        // 64-gate words of the ready bitsets, checked after every step
+        // against a `BTreeSet` front recomputed from the predecessor sets.
+        for (size, seed) in [(63u64, 1u64), (64, 2), (65, 3), (129, 4), (300, 5)] {
+            let mut state = seed.wrapping_mul(0x9e3779b97f4a7c15);
+            let mut next = |m: u64| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state % m
+            };
+            let nq = 9;
+            let mut c = Circuit::new(nq);
+            for _ in 0..size {
+                let a = Qubit(next(u64::from(nq)) as u32);
+                let b = Qubit((a.0 + 1 + next(u64::from(nq) - 1) as u32) % nq);
+                match next(6) {
+                    0 => c.h(a).unwrap(),
+                    1 => c.rz(a, 0.4).unwrap(),
+                    2 => c.measure(a).unwrap(),
+                    3 => c.cnot(a, b).unwrap(),
+                    4 => c.cz(a, b).unwrap(),
+                    _ => c.rzz(a, b, 0.2).unwrap(),
+                };
+            }
+            let dag = CommutationDag::new(&c);
+            let preds: Vec<Vec<GateId>> = (0..c.len() as u32)
+                .map(|g| predecessors(&dag, GateId(g)))
+                .collect();
+            let mut s = dag.schedule();
+            let mut done = vec![false; c.len()];
+            loop {
+                let ready: BTreeSet<GateId> = (0..c.len() as u32)
+                    .map(GateId)
+                    .filter(|g| {
+                        !done[g.index()] && preds[g.index()].iter().all(|p| done[p.index()])
+                    })
+                    .collect();
+                let (two, one): (BTreeSet<GateId>, BTreeSet<GateId>) = ready
+                    .iter()
+                    .partition(|g| c.gates()[g.index()].is_two_qubit());
+                assert!(s.ready_one_qubit().eq(one.iter().copied()), "size {size}");
+                assert!(s.ready_two_qubit().eq(two.iter().copied()), "size {size}");
+                assert_eq!(s.ready_len(), ready.len());
+                for g in (0..c.len() as u32).map(GateId) {
+                    assert_eq!(s.is_gate_ready(g), ready.contains(&g), "{g:?}");
+                }
+                if ready.is_empty() {
+                    break;
+                }
+                // Pop the lowest one-qubit gate, or complete any ready gate.
+                let g = if !one.is_empty() && next(3) == 0 {
+                    let g = s.pop_ready_one_qubit();
+                    assert_eq!(g, one.first().copied());
+                    g.unwrap()
+                } else {
+                    let g = *ready.iter().nth(next(ready.len() as u64) as usize).unwrap();
+                    s.complete(g);
+                    g
+                };
+                done[g.index()] = true;
+            }
+            assert!(s.is_finished(), "size {size}");
+            assert_eq!(s.pop_ready_one_qubit(), None);
+        }
+    }
+
+    #[test]
     fn block_count_matches_role_runs() {
         let mut c = Circuit::new(2);
         c.rz(Qubit(0), 0.1).unwrap();
@@ -505,7 +687,7 @@ mod tests {
         let dag = CommutationDag::new(&c);
         // [rz rz] [x x] [h] [h] -> 4 blocks (Other gates are singletons):
         // each gate depends on exactly the whole previous block.
-        let preds: Vec<Vec<GateId>> = (0..6).map(|g| dag.predecessors(GateId(g))).collect();
+        let preds: Vec<Vec<GateId>> = (0..6).map(|g| predecessors(&dag, GateId(g))).collect();
         assert_eq!(
             preds,
             [

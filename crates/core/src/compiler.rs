@@ -211,6 +211,9 @@ pub struct CompileSession<'a> {
     groups: Vec<MultiTargetGate>,
     /// Highway-phase output: the round's regular two-qubit gates.
     regular: Vec<GateId>,
+    /// The aggregation-front revision `groups` and `regular` were carved
+    /// at.
+    carved_at: Option<u64>,
     /// Group-assembly scratch: components ordered by highway distance.
     comps: Vec<(GateId, Qubit, u32)>,
     /// Group-assembly scratch: components with a claimed entrance.
@@ -272,7 +275,8 @@ impl<'a> CompileSession<'a> {
     /// # Errors
     ///
     /// [`CompileError::InvalidCircuit`] if the circuit is malformed
-    /// (out-of-range or duplicate operands); [`CompileError::TooManyQubits`]
+    /// (out-of-range or duplicate operands) or `dag` was not built from
+    /// it; [`CompileError::TooManyQubits`]
     /// if the program is wider than the device's data region.
     pub fn new(
         device: &'a DeviceArtifacts,
@@ -281,6 +285,7 @@ impl<'a> CompileSession<'a> {
         dag: &'a CommutationDag,
     ) -> Result<Self, CompileError> {
         circuit.validate()?;
+        dag.check_built_from(circuit)?;
         let topo = device.topology();
         let layout = device.layout();
         let data = layout.data_qubits();
@@ -312,6 +317,7 @@ impl<'a> CompileSession<'a> {
             regular_gates: 0,
             groups: Vec::new(),
             regular: Vec::new(),
+            carved_at: None,
             comps: Vec::new(),
             chosen: Vec::new(),
             ranked: Vec::new(),
@@ -487,14 +493,20 @@ impl<'a> CompileSession<'a> {
     /// Leaves the round's regular gates in `self.regular`.
     fn phase_highway(&mut self) -> bool {
         let mut progressed = false;
-        self.sched
+        let front = self
+            .sched
             .aggregation_front_mut()
-            .expect("session attaches an aggregation front")
-            .carve(
+            .expect("session attaches an aggregation front");
+        // An unchanged front (say, after a round that executed nothing,
+        // before a shuttle close) would carve the same output again.
+        if self.carved_at != Some(front.revision()) {
+            front.carve(
                 self.config.min_components,
                 &mut self.groups,
                 &mut self.regular,
             );
+            self.carved_at = Some(front.revision());
+        }
         // Stop attempting groups after a few consecutive congestion
         // failures: with the largest groups first, further ones would
         // mostly fail too, and they retry next shuttle anyway.
@@ -829,7 +841,7 @@ mod tests {
     use super::*;
     use crate::device::DeviceSpec;
     use mech_circuit::benchmarks::{bernstein_vazirani, qaoa_maxcut, qft, random_circuit};
-    use mech_circuit::Qubit;
+    use mech_circuit::{CircuitError, Qubit};
 
     fn device(d: u32, rows: u32, cols: u32) -> Arc<DeviceArtifacts> {
         DeviceSpec::square(d, rows, cols).build_artifacts()
@@ -948,6 +960,46 @@ mod tests {
             .run()
             .unwrap();
         assert_eq!(via_compile.circuit.ops(), again.circuit.ops());
+    }
+
+    #[test]
+    fn session_rejects_a_dag_of_another_circuit() {
+        let dev = device(6, 2, 2);
+        let config = CompilerConfig::default();
+        let qft8_then = |gate| {
+            let mut c = qft(8);
+            c.extend([gate]);
+            c
+        };
+        let cx = |a, b| Gate::Two {
+            kind: TwoQubitKind::Cnot,
+            a: Qubit(a),
+            b: Qubit(b),
+            angle: 0.0,
+        };
+        let h = |q| Gate::One {
+            gate: OneQubitGate::H,
+            q: Qubit(q),
+        };
+        let cases = [
+            (qft(8), qft(6)), // fewer gates and qubits
+            (qft(8), qft(9)), // more gates and qubits
+            // Same width and gate count, one gate on other operands.
+            (qft8_then(cx(1, 0)), qft8_then(cx(0, 1))),
+            (qft8_then(h(2)), qft8_then(h(3))),
+            (qft8_then(h(2)), qft8_then(cx(2, 3))),
+        ];
+        for (prog, other) in &cases {
+            let dag = CommutationDag::new(other);
+            let Err(err) = CompileSession::new(&dev, config, prog, &dag) else {
+                panic!("a mismatched DAG was accepted");
+            };
+            assert_eq!(err, CompileError::InvalidCircuit(CircuitError::DagMismatch));
+            assert!(err.is_client_error());
+        }
+        let prog = qft8_then(cx(1, 0));
+        let dag = CommutationDag::new(&prog);
+        assert!(CompileSession::new(&dev, config, &prog, &dag).is_ok());
     }
 
     #[test]

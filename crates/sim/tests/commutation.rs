@@ -130,8 +130,8 @@ proptest! {
         let mut sched = dag.schedule();
         let mut state = State::zero(N);
         while !sched.is_finished() {
-            let ready = sched.ready_snapshot();
-            let id = *ready.last().unwrap();
+            // The highest ready id of either kind.
+            let id = sched.ready_one_qubit().chain(sched.ready_two_qubit()).max().unwrap();
             apply(&mut state, &c.gates()[id.index()]);
             sched.complete(id);
         }

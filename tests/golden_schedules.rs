@@ -19,7 +19,7 @@
 
 use std::sync::Arc;
 
-use mech::{CompilerConfig, DeviceArtifacts, DeviceSpec, MechCompiler};
+use mech::{BaselineCompiler, CompilerConfig, DeviceArtifacts, DeviceSpec, MechCompiler};
 use mech_bench::programs;
 use mech_chiplet::{ChipletSpec, CouplingStructure, DefectMap};
 use mech_circuit::{benchmarks, Circuit};
@@ -183,6 +183,73 @@ fn golden_regular_heavy_6x6_2x2() {
     );
 }
 
+/// The SABRE baseline's fingerprint: depth and operation counts of the
+/// routed circuit. The baseline walks the same `DagSchedule` ready front
+/// as MECH, so these pin that front's iteration order from the other
+/// side.
+fn baseline_fingerprint(device: &Arc<DeviceArtifacts>, program: &Circuit) -> String {
+    let pc = BaselineCompiler::new(device.topology(), CompilerConfig::default())
+        .compile(program)
+        .expect("golden program routes");
+    let c = pc.counts();
+    format!(
+        "depth={} on={} cross={} meas={} one={}",
+        pc.depth(),
+        c.on_chip_cnots,
+        c.cross_chip_cnots,
+        c.measurements,
+        c.one_qubit,
+    )
+}
+
+fn check_baseline(name: &str, device: &Arc<DeviceArtifacts>, program: &Circuit, golden: &str) {
+    let actual = baseline_fingerprint(device, program);
+    if std::env::var_os("MECH_GOLDEN_PRINT").is_some() {
+        println!("GOLDEN {name} = {actual}");
+        return;
+    }
+    assert_eq!(
+        actual, golden,
+        "baseline schedule for {name} diverged from the golden snapshot"
+    );
+}
+
+#[test]
+fn golden_baseline_qft_6x6_2x2() {
+    let dev = DeviceSpec::square(6, 2, 2).build_artifacts();
+    let n = dev.num_data_qubits();
+    check_baseline(
+        "baseline_qft_6x6_2x2",
+        &dev,
+        &programs::qft(n),
+        GOLDEN_BASELINE_QFT,
+    );
+}
+
+#[test]
+fn golden_baseline_qaoa_6x6_2x2() {
+    let dev = DeviceSpec::square(6, 2, 2).build_artifacts();
+    let n = dev.num_data_qubits();
+    check_baseline(
+        "baseline_qaoa_6x6_2x2",
+        &dev,
+        &programs::qaoa(n),
+        GOLDEN_BASELINE_QAOA,
+    );
+}
+
+#[test]
+fn golden_baseline_rand_sparse_6x6_2x2() {
+    let dev = DeviceSpec::square(6, 2, 2).build_artifacts();
+    let n = dev.num_data_qubits();
+    check_baseline(
+        "baseline_rand_sparse_6x6_2x2",
+        &dev,
+        &programs::rand_sparse(n),
+        GOLDEN_BASELINE_RAND_SPARSE,
+    );
+}
+
 // ---------------------------------------------------------------------------
 // Golden fingerprints, captured from the seed compiler (PR 1 state) before
 // the hot-path refactor. `MECH_GOLDEN_PRINT=1` regenerates.
@@ -196,3 +263,9 @@ const GOLDEN_RANDOM: &str = "depth=1414 on=3233 cross=300 meas=276 one=859 regul
 const GOLDEN_QFT_HEAVY_HEX: &str = "depth=4301 on=30300 cross=1389 meas=4603 one=21526 regular=17 shuttles=106 hwgates=106 comps=5339 trace=(55,1,103,53)(102,1,102,53)(155,1,101,53)(202,1,100,53)(249,1,96,53)(296,1,98,53)(343,1,97,53)(390,1,93,53)(437,1,95,53)(484,1,91,53)(531,1,93,53)(546,1,1,16)(561,1,1,16)(608,1,92,53)(627,1,2,16)(646,1,2,16)(693,1,90,53)(740,1,90,53)(787,1,89,53)(834,1,88,53)(881,1,87,52)(928,1,86,52)(975,1,85,52)(1022,1,84,52)(1069,1,83,51)(1116,1,82,51)(1160,1,81,51)(1207,1,80,51)(1254,1,79,51)(1298,1,78,51)(1345,1,77,48)(1388,1,76,48)(1435,1,75,49)(1478,1,74,48)(1525,1,73,45)(1572,1,72,46)(1616,1,71,45)(1660,1,70,45)(1703,1,69,44)(1747,1,68,44)(1797,1,67,44)(1844,1,66,44)(1890,1,65,44)(1937,1,64,40)(1985,1,63,40)(2030,1,62,40)(2075,1,61,40)(2126,1,60,40)(2171,1,59,40)(2219,1,58,40)(2266,1,57,40)(2315,1,56,40)(2363,1,55,40)(2412,1,54,40)(2464,1,53,40)(2508,1,52,40)(2558,1,51,27)(2605,1,50,40)(2652,1,49,40)(2704,1,48,27)(2751,1,47,40)(2798,1,46,27)(2849,1,45,27)(2904,1,44,30)(2937,1,43,39)(2979,1,42,30)(3015,1,41,39)(3048,1,40,39)(3087,1,39,27)(3121,1,38,40)(3160,1,37,27)(3202,1,36,27)(3238,1,35,27)(3273,1,34,27)(3305,1,33,24)(3343,1,32,22)(3380,1,31,22)(3417,1,30,22)(3453,1,29,22)(3488,1,28,22)(3523,1,27,20)(3554,1,26,22)(3590,1,25,23)(3623,1,24,22)(3658,1,23,17)(3693,1,22,18)(3724,1,21,17)(3757,1,20,17)(3793,1,19,16)(3827,1,18,16)(3857,1,17,16)(3898,1,16,16)(3928,1,15,16)(3969,1,14,16)(4002,1,13,16)(4037,1,12,16)(4066,1,11,16)(4088,1,6,16)(4116,1,9,16)(4132,1,4,16)(4162,1,7,16)(4187,1,1,7)(4209,1,6,16)(4239,1,3,16)(4261,1,3,16)(4278,1,3,16)";
 const GOLDEN_QFT_DENSE: &str = "depth=807 on=3742 cross=115 meas=2052 one=7231 regular=3 shuttles=47 hwgates=47 comps=1222 trace=(23,1,49,45)(41,1,48,45)(59,1,47,45)(80,1,46,46)(97,1,45,45)(115,1,44,45)(134,1,43,45)(152,1,42,45)(169,1,41,44)(187,1,40,46)(204,1,39,44)(220,1,38,43)(236,1,37,43)(252,1,36,43)(271,1,35,42)(288,1,34,42)(304,1,33,40)(320,1,32,41)(337,1,31,39)(353,1,30,40)(370,1,29,37)(386,1,28,36)(402,1,27,35)(419,1,26,36)(436,1,25,35)(453,1,24,36)(469,1,23,35)(485,1,22,36)(502,1,21,35)(518,1,20,36)(534,1,19,22)(550,1,18,22)(565,1,17,22)(581,1,16,22)(597,1,15,22)(614,1,14,22)(629,1,13,22)(644,1,12,22)(660,1,11,22)(679,1,10,22)(694,1,9,20)(709,1,8,20)(724,1,7,18)(743,1,6,14)(756,1,5,11)(768,1,4,11)(779,1,3,9)";
 const GOLDEN_REGULAR_HEAVY: &str = "depth=4078 on=14589 cross=1990 meas=108 one=500 regular=700 shuttles=0 hwgates=0 comps=0 trace=";
+
+// SABRE baseline fingerprints, captured at commit 7ec939a, before the
+// ready fronts became bitsets.
+const GOLDEN_BASELINE_QFT: &str = "depth=8112 on=25527 cross=2796 meas=108 one=108";
+const GOLDEN_BASELINE_QAOA: &str = "depth=3459 on=11818 cross=1772 meas=108 one=216";
+const GOLDEN_BASELINE_RAND_SPARSE: &str = "depth=434 on=2760 cross=460 meas=108 one=188";

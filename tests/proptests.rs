@@ -11,9 +11,20 @@ use mech_chiplet::{
 };
 use mech_circuit::benchmarks::random_circuit;
 use mech_circuit::{
-    aggregate_controlled, commutes, Circuit, CommutationDag, Gate, GateId, OneQubitGate,
+    aggregate_controlled, commutes, Circuit, CommutationDag, DagSchedule, Gate, GateId,
+    OneQubitGate,
 };
 use mech_router::Mapping;
+
+/// The whole ready front of `sched`, ascending.
+fn ready_snapshot(sched: &DagSchedule<'_>) -> Vec<GateId> {
+    let mut all: Vec<GateId> = sched
+        .ready_one_qubit()
+        .chain(sched.ready_two_qubit())
+        .collect();
+    all.sort_unstable();
+    all
+}
 
 fn arb_structure() -> impl Strategy<Value = CouplingStructure> {
     prop_oneof![
@@ -117,7 +128,7 @@ proptest! {
         let program = random_circuit(12, gates, seed);
         let dag = CommutationDag::new(&program);
         let sched = dag.schedule();
-        let ready: Vec<GateId> = sched.ready_snapshot();
+        let ready: Vec<GateId> = ready_snapshot(&sched);
         let (groups, rest) = aggregate_controlled(
             &program,
             &ready,
@@ -150,7 +161,7 @@ proptest! {
         let mut sched = dag.schedule();
         let mut steps = 0usize;
         while !sched.is_finished() {
-            let ready = sched.ready_snapshot();
+            let ready = ready_snapshot(&sched);
             prop_assert!(!ready.is_empty());
             for (i, &a) in ready.iter().enumerate() {
                 for &b in &ready[i + 1..] {
