@@ -109,7 +109,7 @@ pub mod programs {
     use mech_circuit::{Circuit, Qubit};
 
     /// Seed for the four paper families.
-    pub const FAMILY_SEED: u64 = 2024;
+    pub(crate) const FAMILY_SEED: u64 = 2024;
 
     /// Quantum Fourier transform on `n` qubits.
     pub fn qft(n: u32) -> Circuit {
@@ -199,8 +199,7 @@ pub mod verify {
     use mech::{CompileResult, CompilerConfig};
     use mech_circuit::Circuit;
 
-    pub use mech_sim::verify::{SchedVerifier, VerifyError, VerifyReport};
-    pub use mech_sim::OutcomePolicy;
+    pub use mech_sim::{OutcomePolicy, SchedVerifier, VerifyError, VerifyReport};
 
     /// The compiler configuration for verifiable compiles: `config` with
     /// semantic-trace recording switched on (schedules stay byte-identical
@@ -213,7 +212,8 @@ pub mod verify {
     }
 
     /// Verifies a compiled schedule against its ideal circuit under the
-    /// standard [`OutcomePolicy::SWEEP`] (zeros, ones, seeded), so every
+    /// standard outcome sweep (zeros, ones, seeded; see
+    /// [`SchedVerifier::verify_sweep`]), so every
     /// classically-controlled correction runs both branches.
     ///
     /// The result must have been compiled with

@@ -168,12 +168,6 @@ impl Request {
         self
     }
 
-    /// Attaches a caller-held cancellation token.
-    pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
-        self.cancel = cancel;
-        self
-    }
-
     /// Opts the request into the semantic verification gate.
     pub fn with_verify(mut self, verify: bool) -> Self {
         self.verify = verify;
@@ -484,9 +478,9 @@ impl CompileService {
     ///
     /// Returns an [`EpochTicket`]; [`EpochTicket::wait`] blocks until the
     /// new epoch is installed and yields its number. The swap lands even
-    /// if the ticket is dropped, and even after [`CompileService::close`]
-    /// (a closed service accepts no new submissions, so the new epoch then
-    /// only affects [`CompileService::stats`]).
+    /// if the ticket is dropped, and even after the queue is closed (a
+    /// closed service accepts no new submissions, so the new epoch then
+    /// only shows in the counters [`CompileService::shutdown`] returns).
     ///
     /// # Panics
     ///
@@ -572,17 +566,10 @@ impl CompileService {
         self.shared.not_empty.notify_one();
     }
 
-    /// A consistent snapshot of the service counters. At shutdown (all
-    /// tickets redeemed) `submitted = served + shed + failed`; mid-flight,
-    /// `submitted` may run ahead of the outcomes.
-    pub fn stats(&self) -> ServiceStats {
-        self.shared.stats.snapshot()
-    }
-
     /// Closes the queue without joining the workers: subsequent submits
     /// return [`ServeError::Closed`], and requests already queued are
     /// still drained and served.
-    pub fn close(&self) {
+    fn close(&self) {
         {
             let mut q = self.shared.lock_queue();
             q.closed = true;
@@ -993,11 +980,9 @@ mod tests {
         // Cancel before the worker can possibly reach the request: the
         // shed is then deterministic regardless of scheduling.
         cancel.cancel();
-        let queued = service
-            .submit_request(
-                Request::new(Arc::new(programs::qft(n.min(20)))).with_cancel(cancel.clone()),
-            )
-            .unwrap();
+        let mut request = Request::new(Arc::new(programs::qft(n.min(20))));
+        request.cancel = cancel.clone();
+        let queued = service.submit_request(request).unwrap();
         let outcome = queued.wait().unwrap();
         assert!(outcome.shed, "cancelled-in-queue request must be shed");
         assert_eq!(outcome.compile_ms, 0.0);
@@ -1031,7 +1016,7 @@ mod tests {
                 queue_capacity: 8,
             },
         );
-        assert_eq!(service.stats().epoch, 0);
+        assert_eq!(service.shared.stats.snapshot().epoch, 0);
         // Submitted before the swap: these capture the old bundle, and
         // several are still queued when the new epoch lands.
         let old_tickets: Vec<Ticket> = (0..6)
@@ -1041,7 +1026,7 @@ mod tests {
         let new_spec = DeviceSpec::square(6, 1, 2);
         let epoch = service.reconfigure(new_spec.clone()).wait().unwrap();
         assert_eq!(epoch, 1);
-        assert_eq!(service.stats().epoch, 1);
+        assert_eq!(service.shared.stats.snapshot().epoch, 1);
 
         // Old-epoch tickets drain on the old bundle, bit-identically.
         for t in old_tickets {
@@ -1098,7 +1083,7 @@ mod tests {
             service.reconfigure(invalid).wait(),
             Err(ServeError::WorkerLost)
         );
-        assert_eq!(service.stats().epoch, 0);
+        assert_eq!(service.shared.stats.snapshot().epoch, 0);
 
         // The service keeps serving the old bundle, bit-identically.
         let got = service

@@ -110,13 +110,8 @@ impl DefectMap {
     }
 
     /// The dead qubits, ascending.
-    pub fn dead_qubits(&self) -> impl Iterator<Item = PhysQubit> + '_ {
+    pub(crate) fn dead_qubits(&self) -> impl Iterator<Item = PhysQubit> + '_ {
         self.dead_qubits.iter().copied()
-    }
-
-    /// The dead links, ascending, normalized `a < b`.
-    pub fn dead_links(&self) -> impl Iterator<Item = (PhysQubit, PhysQubit)> + '_ {
-        self.dead_links.iter().copied()
     }
 
     /// Number of dead qubits.
@@ -147,7 +142,7 @@ mod tests {
         let d = DefectMap::new().with_dead_link(PhysQubit(9), PhysQubit(2));
         assert!(d.is_dead_link(PhysQubit(2), PhysQubit(9)));
         assert!(d.is_dead_link(PhysQubit(9), PhysQubit(2)));
-        assert_eq!(d.dead_links().next(), Some((PhysQubit(2), PhysQubit(9))));
+        assert_eq!(d.dead_links.first(), Some(&(PhysQubit(2), PhysQubit(9))));
         // Same defect inserted in the other orientation is a no-op.
         let d2 = d.clone().with_dead_link(PhysQubit(2), PhysQubit(9));
         assert_eq!(d, d2);

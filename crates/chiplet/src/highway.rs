@@ -53,7 +53,7 @@ impl HighwayEdge {
     /// # Panics
     ///
     /// Panics if `q` is neither endpoint.
-    pub fn other(&self, q: PhysQubit) -> PhysQubit {
+    pub(crate) fn other(&self, q: PhysQubit) -> PhysQubit {
         if q == self.a {
             self.b
         } else {
@@ -91,7 +91,6 @@ pub struct HighwayLayout {
     /// Flat indices into `edges`, grouped by incident qubit.
     adj_edges: Vec<u32>,
     crossroads: Vec<PhysQubit>,
-    density: u32,
     num_qubits: u32,
     /// Total dead qubits (after pruning no dead qubit is a highway node,
     /// so this is exactly the population excluded from both `nodes` and
@@ -311,7 +310,6 @@ impl HighwayLayout {
             adj_starts,
             adj_edges,
             crossroads,
-            density: m,
             num_qubits: topo.num_qubits(),
             num_dead_data: 0,
         }
@@ -381,12 +379,12 @@ impl HighwayLayout {
     }
 
     /// `true` if `q` is out of service (defect-pruned layouts only).
-    pub fn is_dead(&self, q: PhysQubit) -> bool {
+    pub(crate) fn is_dead(&self, q: PhysQubit) -> bool {
         self.dead[q.index()]
     }
 
     /// The edges incident to highway qubit `q` — one contiguous CSR slice.
-    pub fn incident_edges(&self, q: PhysQubit) -> impl Iterator<Item = &HighwayEdge> {
+    pub(crate) fn incident_edges(&self, q: PhysQubit) -> impl Iterator<Item = &HighwayEdge> {
         let lo = self.adj_starts[q.index()] as usize;
         let hi = self.adj_starts[q.index() + 1] as usize;
         self.adj_edges[lo..hi]
@@ -422,11 +420,6 @@ impl HighwayLayout {
     /// Corridor intersection qubits.
     pub fn crossroads(&self) -> &[PhysQubit] {
         &self.crossroads
-    }
-
-    /// The density (corridors per chiplet per direction) actually used.
-    pub fn density(&self) -> u32 {
-        self.density
     }
 
     /// The data qubits (non-highway, alive), ascending. Dead qubits are

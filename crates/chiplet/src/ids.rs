@@ -24,13 +24,6 @@ impl fmt::Display for PhysQubit {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ChipletId(pub u32);
 
-impl ChipletId {
-    /// The raw index as `usize`.
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
-}
-
 impl fmt::Display for ChipletId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "chip{}", self.0)
@@ -72,6 +65,5 @@ mod tests {
     #[test]
     fn index_round_trips() {
         assert_eq!(PhysQubit(3).index(), 3);
-        assert_eq!(ChipletId(4).index(), 4);
     }
 }

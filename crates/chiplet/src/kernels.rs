@@ -138,11 +138,6 @@ impl CsrGraph {
     pub fn num_edges(&self) -> usize {
         self.targets.len() / 2
     }
-
-    /// `true` if no edges were loaded (the default state).
-    pub fn is_empty(&self) -> bool {
-        self.targets.is_empty()
-    }
 }
 
 impl RoutingGraph for CsrGraph {
@@ -256,7 +251,7 @@ impl BfsKernel {
     /// # Panics
     ///
     /// Panics if `dst` was not reached by the last run.
-    pub fn reconstruct_into<G: RoutingGraph>(
+    pub(crate) fn reconstruct_into<G: RoutingGraph>(
         &self,
         g: &G,
         src: PhysQubit,
@@ -377,7 +372,7 @@ pub fn astar_route<G: RoutingGraph>(
 /// near ones pay a fraction of the graph.
 ///
 /// Costs live in a caller-provided [`RoutingScratch`], so acceptance
-/// checks ([`RoutingScratch::reached`]) and backward min-id
+/// checks (`RoutingScratch::reached`) and backward min-id
 /// reconstruction run against the same settled state.
 #[derive(Debug, Clone, Default)]
 pub struct DialSearch {
@@ -479,11 +474,6 @@ impl DialSearch {
             }
             self.next += 1;
         }
-    }
-
-    /// Primary costs strictly below this are final in the live search.
-    pub fn settled_below(&self) -> usize {
-        self.next
     }
 }
 
@@ -614,10 +604,11 @@ mod tests {
         dial.begin(&mut scratch, n, PhysQubit(0), (1, 0));
         // A near destination needs few buckets...
         assert!(dial.advance_to(&mut scratch, &topo, PhysQubit(1), |_| Some(1)));
-        let settled_near = dial.settled_below();
+        // Primary costs below `next` are final in the live search.
+        let settled_near = dial.next;
         // ...a far one resumes the same search further.
         assert!(dial.advance_to(&mut scratch, &topo, PhysQubit(24), |_| Some(1)));
-        assert!(dial.settled_below() > settled_near);
+        assert!(dial.next > settled_near);
         assert_eq!(
             scratch.cost(PhysQubit(24)).0,
             1 + grid_distance(&topo, PhysQubit(0), PhysQubit(24))

@@ -31,7 +31,7 @@ mod pathfind;
 mod phys;
 mod render;
 mod scratch;
-pub mod sem;
+mod sem;
 mod spec;
 mod structures;
 mod topology;
@@ -46,9 +46,7 @@ pub use kernels::{
 pub use pathfind::{bfs_distances, shortest_path_avoiding};
 pub use phys::{OpCounts, PhysCircuit, PhysOp, PhysOpKind};
 pub use render::render_layout;
-pub use scratch::{
-    CancelToken, QubitSet, RoutingScratch, SearchCost, StampMap, StampSet, UNREACHED,
-};
+pub use scratch::{CancelToken, QubitSet, RoutingScratch, StampMap, StampSet, UNREACHED};
 pub use sem::{SemEvent, SemEventKind, SemGate1, SemGate2, SemPauli};
 pub use spec::{ChipletSpec, CouplingStructure};
 pub use topology::{Link, Topology};

@@ -96,7 +96,7 @@ impl PhysCircuit {
         }
     }
 
-    /// Turns on semantic event recording (see [`crate::sem`]). The emitting
+    /// Turns on semantic event recording (see [`SemEvent`]). The emitting
     /// layers append a [`SemEvent`] per meaningful step; the op stream is
     /// unaffected.
     pub fn enable_sem_recording(&mut self) {

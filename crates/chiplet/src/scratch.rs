@@ -187,7 +187,7 @@ impl QubitSet for StampSet {
 }
 
 /// Lexicographic search cost: `(primary, secondary)`.
-pub type SearchCost = (u32, u32);
+pub(crate) type SearchCost = (u32, u32);
 
 /// Cost value marking an unreached node.
 pub const UNREACHED: SearchCost = (u32::MAX, u32::MAX);
@@ -247,7 +247,7 @@ impl RoutingScratch {
     /// After a search that ran to exhaustion, this is exactly
     /// reachability — the basis for the highway claim engine's O(1)
     /// candidate rejection (one search answers every destination).
-    pub fn reached(&self, q: PhysQubit) -> bool {
+    pub(crate) fn reached(&self, q: PhysQubit) -> bool {
         self.cost(q) != UNREACHED
     }
 

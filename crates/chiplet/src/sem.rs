@@ -144,7 +144,7 @@ impl fmt::Display for SemEvent {
 
 /// The recorded event stream of one compilation (see module docs).
 #[derive(Debug, Clone, Default)]
-pub struct SemTrace {
+pub(crate) struct SemTrace {
     pub(crate) events: Vec<SemEvent>,
     pub(crate) num_measures: u32,
 }

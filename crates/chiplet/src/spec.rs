@@ -126,34 +126,28 @@ impl ChipletSpec {
     }
 
     /// Side of each chiplet's square footprint.
-    pub fn chiplet_size(&self) -> u32 {
+    pub(crate) fn chiplet_size(&self) -> u32 {
         self.chiplet_size
     }
 
     /// Rows of chiplets in the array.
-    pub fn array_rows(&self) -> u32 {
+    pub(crate) fn array_rows(&self) -> u32 {
         self.array_rows
     }
 
     /// Columns of chiplets in the array.
-    pub fn array_cols(&self) -> u32 {
+    pub(crate) fn array_cols(&self) -> u32 {
         self.array_cols
     }
 
     /// Number of chiplets.
-    pub fn num_chiplets(&self) -> u32 {
+    pub(crate) fn num_chiplets(&self) -> u32 {
         self.array_rows * self.array_cols
     }
 
     /// Cross-chip links kept per chiplet edge (`None` = all candidates).
-    pub fn cross_links_per_edge(&self) -> Option<u32> {
+    pub(crate) fn cross_links_per_edge(&self) -> Option<u32> {
         self.cross_links_per_edge
-    }
-
-    /// Number of qubits on each chiplet (depends on the structure; heavy
-    /// lattices leave some footprint cells empty).
-    pub fn qubits_per_chiplet(&self) -> u32 {
-        crate::structures::qubits_per_chiplet(self.structure, self.chiplet_size)
     }
 
     /// Builds the physical topology described by this spec.

@@ -53,16 +53,16 @@ pub(crate) fn cells_coupled(
     }
 }
 
-/// Number of qubits in one chiplet of side `d`.
-pub(crate) fn qubits_per_chiplet(structure: CouplingStructure, d: u32) -> u32 {
-    (0..d)
-        .map(|r| (0..d).filter(|&c| has_qubit(structure, r, c, d)).count() as u32)
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Number of qubits in one chiplet of side `d`.
+    fn qubits_per_chiplet(structure: CouplingStructure, d: u32) -> u32 {
+        (0..d)
+            .map(|r| (0..d).filter(|&c| has_qubit(structure, r, c, d)).count() as u32)
+            .sum()
+    }
 
     #[test]
     fn square_fills_the_footprint() {

@@ -162,14 +162,8 @@ impl Topology {
         topo
     }
 
-    /// The defects masked out of this topology (empty on pristine
-    /// builds).
-    pub fn defects(&self) -> &DefectMap {
-        &self.defects
-    }
-
     /// The spec this topology was built from.
-    pub fn spec(&self) -> &ChipletSpec {
+    pub(crate) fn spec(&self) -> &ChipletSpec {
         &self.spec
     }
 
@@ -189,7 +183,7 @@ impl Topology {
     }
 
     /// Global grid dimensions `(rows, cols)`.
-    pub fn grid_dims(&self) -> (u32, u32) {
+    pub(crate) fn grid_dims(&self) -> (u32, u32) {
         (self.grid_rows, self.grid_cols)
     }
 
@@ -252,7 +246,7 @@ impl Topology {
     }
 
     /// The grid-position `(row, col)` of a chiplet within the array.
-    pub fn chiplet_pos(&self, chip: ChipletId) -> (u32, u32) {
+    pub(crate) fn chiplet_pos(&self, chip: ChipletId) -> (u32, u32) {
         (
             chip.0 / self.spec.array_cols(),
             chip.0 % self.spec.array_cols(),

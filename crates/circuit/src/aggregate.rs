@@ -83,7 +83,7 @@ struct BucketSlot {
 /// (QAOA readies tens of thousands of gates at once). This structure keeps
 /// the buckets alive across rounds:
 ///
-/// * [`AggregationFront::insert`] / [`AggregationFront::remove`] maintain,
+/// * `AggregationFront::insert` / `AggregationFront::remove` maintain,
 ///   per `(hub, kind)`, a **sorted** list of `(gate, other operand)`
 ///   entries, plus one bitset of all aggregable and one of all
 ///   non-aggregable two-qubit gates in the front;
@@ -132,7 +132,7 @@ pub struct AggregationFront {
 impl AggregationFront {
     /// Creates an empty front for `circuit`, precomputing every gate's
     /// bucket memberships.
-    pub fn new(circuit: &Circuit) -> Self {
+    pub(crate) fn new(circuit: &Circuit) -> Self {
         let nq = circuit.num_qubits() as usize;
         let mut slots = Vec::with_capacity(circuit.len());
         let mut two_qubit = Vec::with_capacity(circuit.len());
@@ -175,7 +175,7 @@ impl AggregationFront {
 
     /// Starts tracking a ready two-qubit gate. One-qubit gates and
     /// measurements are ignored; re-inserting a tracked gate is a no-op.
-    pub fn insert(&mut self, id: GateId) {
+    pub(crate) fn insert(&mut self, id: GateId) {
         match self.slots[id.index()] {
             Some(slots) if self.agg.insert(id) => {
                 self.revision += 1;
@@ -194,7 +194,7 @@ impl AggregationFront {
 
     /// Stops tracking a gate (completed, or suspended while in flight on
     /// the highway). Removing an untracked gate is a no-op.
-    pub fn remove(&mut self, id: GateId) {
+    pub(crate) fn remove(&mut self, id: GateId) {
         match self.slots[id.index()] {
             Some(slots) if self.agg.remove(id) => {
                 self.revision += 1;
@@ -208,16 +208,6 @@ impl AggregationFront {
             None => self.revision += u64::from(self.other.remove(id)),
             _ => {}
         }
-    }
-
-    /// Number of tracked gates (aggregable + regular two-qubit).
-    pub fn len(&self) -> usize {
-        self.agg.len() + self.other.len()
-    }
-
-    /// `true` when no gate is tracked.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Counts the inserts and removes that changed the tracked set. Equal
@@ -382,6 +372,11 @@ pub fn aggregate_controlled(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Number of tracked gates (aggregable + regular two-qubit).
+    fn tracked(front: &AggregationFront) -> usize {
+        front.agg.iter().count() + front.other.iter().count()
+    }
 
     /// Reference implementation: the pre-incremental per-round rebuild
     /// (flat bucket arrays refilled from the ready list on every call),
@@ -570,7 +565,7 @@ mod tests {
                 let mut live_sorted = live.clone();
                 live_sorted.sort_unstable();
                 let (want_groups, want_rest) = aggregate_oracle(&c, &live_sorted, min);
-                assert_eq!(front.len(), live.len(), "size {size} round {round}");
+                assert_eq!(tracked(&front), live.len(), "size {size} round {round}");
                 assert_eq!(
                     groups, want_groups,
                     "groups diverged: size {size} round {round}"
@@ -596,15 +591,15 @@ mod tests {
         .unwrap();
         c.h(Qubit(0)).unwrap();
         let mut front = AggregationFront::new(&c);
-        assert!(front.is_empty());
+        assert_eq!(tracked(&front), 0);
         front.insert(GateId(0));
         front.insert(GateId(1));
         front.insert(GateId(2)); // one-qubit: ignored
-        assert_eq!(front.len(), 2);
+        assert_eq!(tracked(&front), 2);
         front.remove(GateId(0));
-        assert_eq!(front.len(), 1);
+        assert_eq!(tracked(&front), 1);
         front.remove(GateId(0)); // idempotent
-        assert_eq!(front.len(), 1);
+        assert_eq!(tracked(&front), 1);
     }
 
     #[test]

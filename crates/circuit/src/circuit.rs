@@ -192,7 +192,7 @@ impl Circuit {
     /// # Errors
     ///
     /// See [`Circuit::push`].
-    pub fn ry(&mut self, q: Qubit, angle: f64) -> Result<(), CircuitError> {
+    pub(crate) fn ry(&mut self, q: Qubit, angle: f64) -> Result<(), CircuitError> {
         self.one(OneQubitGate::Ry(angle), q)
     }
 
@@ -229,7 +229,7 @@ impl Circuit {
     /// # Errors
     ///
     /// See [`Circuit::push`].
-    pub fn cp(&mut self, c: Qubit, t: Qubit, angle: f64) -> Result<(), CircuitError> {
+    pub(crate) fn cp(&mut self, c: Qubit, t: Qubit, angle: f64) -> Result<(), CircuitError> {
         self.push(Gate::Two {
             kind: TwoQubitKind::Cphase,
             a: c,
@@ -315,7 +315,7 @@ impl Circuit {
 
     /// Iterates over gates together with their [`GateId`](crate::GateId)s
     /// (positions in program order).
-    pub fn iter(&self) -> impl Iterator<Item = (crate::GateId, &Gate)> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (crate::GateId, &Gate)> {
         self.gates
             .iter()
             .enumerate()

@@ -15,7 +15,7 @@ use crate::gate::Gate;
 
 /// The Pauli frame a gate occupies on one of its operand qubits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PauliRole {
+pub(crate) enum PauliRole {
     /// Diagonal in the computational (Z) basis on this qubit: Rz, S, T,
     /// CZ/CP/RZZ on either operand, CNOT on its control.
     Z,
@@ -28,7 +28,7 @@ pub enum PauliRole {
 
 impl PauliRole {
     /// Whether two single-qubit actions in these frames commute.
-    pub fn commutes_with(self, other: PauliRole) -> bool {
+    pub(crate) fn commutes_with(self, other: PauliRole) -> bool {
         matches!(
             (self, other),
             (PauliRole::Z, PauliRole::Z) | (PauliRole::X, PauliRole::X)
@@ -38,8 +38,9 @@ impl PauliRole {
 
 /// Returns `true` if gates `a` and `b` are known to commute.
 ///
-/// Gates on disjoint qubits always commute. Otherwise every shared qubit
-/// must carry compatible [`PauliRole`]s.
+/// Gates on disjoint qubits always commute. Otherwise, on every shared
+/// qubit, both gates must act in the same Pauli frame: both diagonal in Z,
+/// or both X-type.
 ///
 /// # Example
 ///

@@ -3,7 +3,7 @@
 //! The paper's `Circuit.py` "allows gate commutation to find the earliest
 //! execution time of each gate". We realize this with a per-qubit *block*
 //! decomposition: on each qubit, consecutive gates sharing the same
-//! [`PauliRole`](crate::PauliRole) form a block whose members commute
+//! [`PauliRole`] form a block whose members commute
 //! pairwise, and every gate of block `k` depends on *all* gates of block
 //! `k-1`. Gates with [`PauliRole::Other`] (H, SWAP, measurement) form
 //! singleton blocks, acting as barriers.
@@ -47,10 +47,6 @@ impl GateSet {
             len: 0,
             low: 0,
         }
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.len
     }
 
     pub(crate) fn contains(&self, g: GateId) -> bool {
@@ -131,11 +127,14 @@ struct Block {
     gates: Vec<GateId>,
 }
 
-/// Per-operand position of a gate: which qubit, and which block on it.
+/// Per-operand position of a gate: which qubit, which block on it, and
+/// the gate's role there (the block's role, kept here so
+/// [`CommutationDag::check_built_from`] reads one entry per operand).
 #[derive(Debug, Clone, Copy)]
 struct BlockPos {
     qubit: u32,
     block: u32,
+    role: PauliRole,
 }
 
 /// The commutation structure of a [`Circuit`].
@@ -154,7 +153,7 @@ struct BlockPos {
 /// c.cnot(Qubit(0), Qubit(2))?; // commutes with the first (shared control)
 /// let dag = CommutationDag::new(&c);
 /// let mut sched = dag.schedule();
-/// assert_eq!(sched.ready_len(), 2); // both CNOTs are immediately ready
+/// assert_eq!(sched.ready_two_qubit().count(), 2); // both CNOTs are immediately ready
 /// # Ok(())
 /// # }
 /// ```
@@ -197,6 +196,7 @@ impl CommutationDag {
                 gate_pos[id.index()][slot] = Some(BlockPos {
                     qubit: q.0,
                     block: bidx as u32,
+                    role,
                 });
             }
         }
@@ -209,26 +209,28 @@ impl CommutationDag {
         }
     }
 
-    /// Number of gates covered by this DAG.
-    pub fn num_gates(&self) -> usize {
-        self.num_gates
-    }
-
     /// Checks that this DAG was built from `circuit`: the same width, the
-    /// same gate count and every gate on the same operands. (Gate kinds
-    /// are not compared, which keeps the check as cheap as
-    /// [`Circuit::validate`].)
+    /// same gate count, and every gate of the same arity on the same
+    /// operands in the same commutation roles. Gates that differ only in
+    /// kind or angle within one role (CZ and CPHASE, two Rz angles) build
+    /// the same DAG, so they pass.
     ///
     /// # Errors
     ///
     /// [`CircuitError::DagMismatch`] when it was not.
     pub fn check_built_from(&self, circuit: &Circuit) -> Result<(), CircuitError> {
-        let same_operands = |(gate, pos): (&Gate, &[Option<BlockPos>; 2])| {
-            let on = |slot: usize, q: Qubit| pos[slot].is_some_and(|p| p.qubit == q.0);
-            match *gate {
-                Gate::One { q, .. } | Gate::Measure { q } => on(0, q) && pos[1].is_none(),
-                Gate::Two { a, b, .. } => on(0, a) && on(1, b),
-            }
+        let same_gate = |((gate, pos), &two_qubit): ((&Gate, &[Option<BlockPos>; 2]), &bool)| {
+            let on = |slot: usize, q: Qubit, role: PauliRole| {
+                pos[slot].is_some_and(|p| p.qubit == q.0 && p.role == role)
+            };
+            two_qubit == gate.is_two_qubit()
+                && match *gate {
+                    Gate::One { gate, q } => on(0, q, gate.role()) && pos[1].is_none(),
+                    Gate::Measure { q } => on(0, q, PauliRole::Other) && pos[1].is_none(),
+                    Gate::Two { kind, a, b, .. } => {
+                        on(0, a, kind.role_a()) && on(1, b, kind.role_b())
+                    }
+                }
         };
         let built_from = self.blocks.len() == circuit.num_qubits() as usize
             && self.num_gates == circuit.len()
@@ -236,7 +238,8 @@ impl CommutationDag {
                 .gates()
                 .iter()
                 .zip(&self.gate_pos)
-                .all(same_operands);
+                .zip(&self.two_qubit)
+                .all(same_gate);
         built_from.then_some(()).ok_or(CircuitError::DagMismatch)
     }
 
@@ -378,11 +381,6 @@ impl<'a> DagSchedule<'a> {
     /// Iterates the ready two-qubit gates, ascending.
     pub fn ready_two_qubit(&self) -> impl Iterator<Item = GateId> + '_ {
         self.ready_two.iter()
-    }
-
-    /// Number of currently ready gates (both kinds).
-    pub fn ready_len(&self) -> usize {
-        self.ready_one.len() + self.ready_two.len()
     }
 
     /// Drain-style front consumption: removes and completes the smallest
@@ -651,7 +649,7 @@ mod tests {
                     .partition(|g| c.gates()[g.index()].is_two_qubit());
                 assert!(s.ready_one_qubit().eq(one.iter().copied()), "size {size}");
                 assert!(s.ready_two_qubit().eq(two.iter().copied()), "size {size}");
-                assert_eq!(s.ready_len(), ready.len());
+                assert_eq!(s.ready_one.len + s.ready_two.len, ready.len());
                 for g in (0..c.len() as u32).map(GateId) {
                     assert_eq!(s.is_gate_ready(g), ready.contains(&g), "{g:?}");
                 }

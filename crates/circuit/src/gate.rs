@@ -40,7 +40,7 @@ impl OneQubitGate {
     /// group). Rotations report `false` even at Clifford angles — the
     /// classification is syntactic, matching what the stabilizer backend
     /// can execute.
-    pub fn is_clifford(self) -> bool {
+    pub(crate) fn is_clifford(self) -> bool {
         matches!(
             self,
             OneQubitGate::H
@@ -54,7 +54,7 @@ impl OneQubitGate {
 
     /// The Pauli frame in which this gate is diagonal, used by the
     /// commutation analysis.
-    pub fn role(self) -> PauliRole {
+    pub(crate) fn role(self) -> PauliRole {
         match self {
             OneQubitGate::Z
             | OneQubitGate::S
@@ -109,13 +109,13 @@ pub enum TwoQubitKind {
 impl TwoQubitKind {
     /// Whether this interaction is a *controlled* gate that the MECH
     /// protocol can execute over a GHZ state (`Cnot`, `Cz`, `Cphase`, `Rzz`).
-    pub fn is_controlled(self) -> bool {
+    pub(crate) fn is_controlled(self) -> bool {
         !matches!(self, TwoQubitKind::Swap)
     }
 
     /// Whether this interaction is a Clifford operation. Parameterized
     /// kinds (`Cphase`, `Rzz`) report `false` regardless of angle.
-    pub fn is_clifford(self) -> bool {
+    pub(crate) fn is_clifford(self) -> bool {
         matches!(
             self,
             TwoQubitKind::Cnot | TwoQubitKind::Cz | TwoQubitKind::Swap
@@ -123,7 +123,7 @@ impl TwoQubitKind {
     }
 
     /// Commutation role of the first operand.
-    pub fn role_a(self) -> PauliRole {
+    pub(crate) fn role_a(self) -> PauliRole {
         match self {
             TwoQubitKind::Cnot => PauliRole::Z,
             TwoQubitKind::Cz | TwoQubitKind::Cphase | TwoQubitKind::Rzz => PauliRole::Z,
@@ -132,7 +132,7 @@ impl TwoQubitKind {
     }
 
     /// Commutation role of the second operand.
-    pub fn role_b(self) -> PauliRole {
+    pub(crate) fn role_b(self) -> PauliRole {
         match self {
             TwoQubitKind::Cnot => PauliRole::X,
             TwoQubitKind::Cz | TwoQubitKind::Cphase | TwoQubitKind::Rzz => PauliRole::Z,
@@ -187,7 +187,7 @@ impl Gate {
     ///
     /// One-qubit gates and measurements return a single qubit; two-qubit
     /// gates return both.
-    pub fn qubits(&self) -> GateQubits {
+    pub(crate) fn qubits(&self) -> GateQubits {
         match *self {
             Gate::One { q, .. } | Gate::Measure { q } => GateQubits::one(q),
             Gate::Two { a, b, .. } => GateQubits::two(a, b),
@@ -204,7 +204,7 @@ impl Gate {
     /// Returns [`PauliRole::Other`] if the gate does not act on `q` in a
     /// basis-preserving way (measurements, SWAPs, Hadamards) — callers
     /// should first check [`Gate::acts_on`].
-    pub fn role_on(&self, q: Qubit) -> PauliRole {
+    pub(crate) fn role_on(&self, q: Qubit) -> PauliRole {
         match *self {
             Gate::One { gate, q: gq } if gq == q => gate.role(),
             Gate::Two { kind, a, .. } if a == q => kind.role_a(),
@@ -216,7 +216,7 @@ impl Gate {
     }
 
     /// `true` for two-qubit gates (of any kind).
-    pub fn is_two_qubit(&self) -> bool {
+    pub(crate) fn is_two_qubit(&self) -> bool {
         matches!(self, Gate::Two { .. })
     }
 
@@ -251,7 +251,7 @@ impl fmt::Display for Gate {
 ///
 /// Avoids heap allocation in the hot paths of the DAG construction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GateQubits {
+pub(crate) struct GateQubits {
     qs: [Qubit; 2],
     len: u8,
 }
@@ -269,7 +269,7 @@ impl GateQubits {
     }
 
     /// The operands as a slice of length 1 or 2.
-    pub fn as_slice(&self) -> &[Qubit] {
+    pub(crate) fn as_slice(&self) -> &[Qubit] {
         &self.qs[..self.len as usize]
     }
 }

@@ -40,7 +40,7 @@ pub use aggregate::{
     aggregate_controlled, AggregationFront, GroupKind, MultiTargetGate, TargetComponent,
 };
 pub use circuit::{Circuit, CircuitError, CircuitStats};
-pub use commute::{commutes, PauliRole};
+pub use commute::commutes;
 pub use dag::{CommutationDag, DagSchedule, GateId};
 pub use gate::{Gate, OneQubitGate, TwoQubitKind};
 pub use qubit::Qubit;

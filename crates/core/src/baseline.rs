@@ -13,7 +13,6 @@ use mech_router::sabre_route;
 
 use crate::config::CompilerConfig;
 use crate::error::CompileError;
-use crate::metrics::Metrics;
 
 /// The SABRE baseline compiler.
 ///
@@ -59,20 +58,12 @@ impl<'a> BaselineCompiler<'a> {
         }
         Ok(sabre_route(circuit, self.topo, self.config.cost))
     }
-
-    /// Compiles and summarizes in one call.
-    ///
-    /// # Errors
-    ///
-    /// See [`BaselineCompiler::compile`].
-    pub fn metrics(&self, circuit: &Circuit) -> Result<Metrics, CompileError> {
-        Ok(Metrics::from_circuit(&self.compile(circuit)?))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::Metrics;
     use mech_chiplet::ChipletSpec;
     use mech_circuit::benchmarks::{bernstein_vazirani, qft};
 
@@ -80,7 +71,7 @@ mod tests {
     fn baseline_routes_qft() {
         let topo = ChipletSpec::square(4, 2, 2).build();
         let b = BaselineCompiler::new(&topo, CompilerConfig::default());
-        let m = b.metrics(&qft(20)).unwrap();
+        let m = Metrics::from_circuit(&b.compile(&qft(20)).unwrap());
         assert!(m.depth > 0);
         assert_eq!(m.measurements, 20);
     }
@@ -99,8 +90,8 @@ mod tests {
     fn bv_depth_grows_with_distance() {
         let topo = ChipletSpec::square(5, 2, 2).build();
         let b = BaselineCompiler::new(&topo, CompilerConfig::default());
-        let small = b.metrics(&bernstein_vazirani(10, 1)).unwrap();
-        let large = b.metrics(&bernstein_vazirani(80, 1)).unwrap();
+        let small = Metrics::from_circuit(&b.compile(&bernstein_vazirani(10, 1)).unwrap());
+        let large = Metrics::from_circuit(&b.compile(&bernstein_vazirani(80, 1)).unwrap());
         assert!(large.depth > small.depth);
     }
 }

@@ -127,16 +127,6 @@ impl MechCompiler {
         MechCompiler { device, config }
     }
 
-    /// The shared device artifacts this compiler compiles against.
-    pub fn device(&self) -> &Arc<DeviceArtifacts> {
-        &self.device
-    }
-
-    /// The configuration in effect.
-    pub fn config(&self) -> &CompilerConfig {
-        &self.config
-    }
-
     /// Compiles `circuit`, returning the scheduled physical circuit and
     /// highway statistics. Each call builds the circuit's commutation DAG
     /// and runs one [`CompileSession`]; nothing device-derived is rebuilt.
@@ -977,6 +967,12 @@ mod tests {
             b: Qubit(b),
             angle: 0.0,
         };
+        let cz = |a, b| Gate::Two {
+            kind: TwoQubitKind::Cz,
+            a: Qubit(a),
+            b: Qubit(b),
+            angle: 0.0,
+        };
         let h = |q| Gate::One {
             gate: OneQubitGate::H,
             q: Qubit(q),
@@ -988,6 +984,9 @@ mod tests {
             (qft8_then(cx(1, 0)), qft8_then(cx(0, 1))),
             (qft8_then(h(2)), qft8_then(h(3))),
             (qft8_then(h(2)), qft8_then(cx(2, 3))),
+            // Same operands, other commutation roles: CZ is diagonal on
+            // its second operand, CNOT is X-type there.
+            (qft8_then(cz(0, 1)), qft8_then(cx(0, 1))),
         ];
         for (prog, other) in &cases {
             let dag = CommutationDag::new(other);

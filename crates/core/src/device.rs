@@ -30,10 +30,10 @@ use mech_chiplet::{ChipletSpec, DefectMap, HighwayLayout, PhysCircuit, PhysOpKin
 use mech_highway::{EntranceTable, HighwaySkeleton};
 
 /// Default number of highway corridors per chiplet per direction.
-pub const DEFAULT_HIGHWAY_DENSITY: u32 = 1;
+pub(crate) const DEFAULT_HIGHWAY_DENSITY: u32 = 1;
 
 /// Default number of entrance candidates examined per data qubit.
-pub const DEFAULT_ENTRANCE_CANDIDATES: usize = 4;
+pub(crate) const DEFAULT_ENTRANCE_CANDIDATES: usize = 4;
 
 /// The value naming one device configuration: chiplet geometry plus the
 /// device-shaped compiler parameters that determine every derived
@@ -201,12 +201,12 @@ impl DeviceArtifacts {
     }
 
     /// The eager entrance table (entrance options per data qubit).
-    pub fn entrances(&self) -> &EntranceTable {
+    pub(crate) fn entrances(&self) -> &EntranceTable {
         &self.entrances
     }
 
     /// The shared CSR skeleton of the highway claim graph.
-    pub fn skeleton(&self) -> &Arc<HighwaySkeleton> {
+    pub(crate) fn skeleton(&self) -> &Arc<HighwaySkeleton> {
         &self.skeleton
     }
 

@@ -54,9 +54,7 @@ mod metrics;
 pub use baseline::BaselineCompiler;
 pub use compiler::{CompileResult, CompileSession, MechCompiler, STALL_ROUND_LIMIT};
 pub use config::{BudgetExceeded, CompileBudget, CompilerConfig, GhzStyle};
-pub use device::{
-    DeviceArtifacts, DeviceSpec, DEFAULT_ENTRANCE_CANDIDATES, DEFAULT_HIGHWAY_DENSITY,
-};
+pub use device::{DeviceArtifacts, DeviceSpec};
 pub use error::CompileError;
 pub use metrics::Metrics;
 

@@ -107,7 +107,7 @@ pub fn prepare_ghz_chain(
     }
 }
 
-/// Reusable workspace for [`prepare_ghz`]: adjacency lists, color stamps
+/// Reusable workspace for [`prepare_ghz_with`]: adjacency lists, color stamps
 /// and work queues kept alive across the many preparations of one
 /// compilation, so each prep allocates only its returned `live` list.
 #[derive(Debug, Clone, Default)]
@@ -153,26 +153,13 @@ impl GhzScratch {
 /// are kept usable: if the coloring measures them, they are re-entangled.
 ///
 /// Returns which qubits remain live and when. Emits all operations into
-/// `pc`.
+/// `pc`. `s` is reusable workspace: the compiler keeps one per session,
+/// so per-group preparations stay allocation-free.
 ///
 /// # Panics
 ///
 /// Panics if an edge is not part of `layout`, or if the edge set does not
 /// connect `nodes` (both indicate compiler bugs).
-pub fn prepare_ghz(
-    pc: &mut PhysCircuit,
-    topo: &Topology,
-    layout: &HighwayLayout,
-    nodes: &[PhysQubit],
-    edges: &[(PhysQubit, PhysQubit)],
-    entrances: &impl QubitSet,
-) -> GhzPrep {
-    let mut scratch = GhzScratch::default();
-    prepare_ghz_with(pc, topo, layout, nodes, edges, entrances, &mut scratch)
-}
-
-/// [`prepare_ghz`] against a caller-provided [`GhzScratch`] (the compiler
-/// keeps one per session, so per-group preparations stay allocation-free).
 pub fn prepare_ghz_with(
     pc: &mut PhysCircuit,
     topo: &Topology,
@@ -423,7 +410,8 @@ mod chain_tests {
             let mut pc_chain = PhysCircuit::new(topo.num_qubits(), CostModel::default());
             let chain = prepare_ghz_chain(&mut pc_chain, &topo, &hw, &nodes, &edges);
             let mut pc_mb = PhysCircuit::new(topo.num_qubits(), CostModel::default());
-            let mb = prepare_ghz(&mut pc_mb, &topo, &hw, &nodes, &edges, &HashSet::new());
+            let mb =
+                super::tests::prepare_ghz(&mut pc_mb, &topo, &hw, &nodes, &edges, &HashSet::new());
             (chain.ready_at, mb.ready_at)
         };
         let (chain_short, mb_short) = prep_depths(5);
@@ -442,6 +430,26 @@ mod chain_tests {
 mod tests {
     use super::*;
     use mech_chiplet::{ChipletSpec, CostModel};
+
+    /// [`prepare_ghz_with`] on a fresh scratch.
+    pub(super) fn prepare_ghz(
+        pc: &mut PhysCircuit,
+        topo: &Topology,
+        layout: &HighwayLayout,
+        nodes: &[PhysQubit],
+        edges: &[(PhysQubit, PhysQubit)],
+        entrances: &impl QubitSet,
+    ) -> GhzPrep {
+        prepare_ghz_with(
+            pc,
+            topo,
+            layout,
+            nodes,
+            edges,
+            entrances,
+            &mut GhzScratch::default(),
+        )
+    }
 
     fn setup() -> (Topology, HighwayLayout) {
         let topo = ChipletSpec::square(7, 1, 2).build();

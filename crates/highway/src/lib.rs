@@ -10,7 +10,7 @@
 //!   **one-search engine**: one settled Dijkstra over the device's shared
 //!   [`HighwaySkeleton`] serves every candidate entrance of a group, with
 //!   O(1) accept/reject;
-//! * [`prepare_ghz`] — the constant-depth GHZ preparation over a claimed
+//! * [`prepare_ghz_with`] — the constant-depth GHZ preparation over a claimed
 //!   path: cluster state (direct/bridge/cross-chip entangling), measurement
 //!   of alternate qubits, Pauli corrections and re-entanglement of measured
 //!   entrances (paper §4–5, Figs. 5–8);
@@ -27,7 +27,7 @@ mod shuttle;
 mod skeleton;
 
 pub use entrance::{entrance_candidates, entrance_search_count, EntranceOption, EntranceTable};
-pub use ghz::{prepare_ghz, prepare_ghz_chain, prepare_ghz_with, GhzPrep, GhzScratch};
+pub use ghz::{prepare_ghz_chain, prepare_ghz_with, GhzPrep, GhzScratch};
 pub use occupancy::{GroupId, HighwayOccupancy, RouteError};
 pub use shuttle::{
     ActiveGroup, PinnedView, PinnedViewExcluding, ShuttleRecord, ShuttleState, ShuttleStats,

@@ -165,7 +165,7 @@ impl HighwayOccupancy {
     }
 
     /// The gate currently occupying `q`, if any.
-    pub fn owner(&self, q: PhysQubit) -> Option<GroupId> {
+    pub(crate) fn owner(&self, q: PhysQubit) -> Option<GroupId> {
         self.owner[q.index()]
     }
 

@@ -8,7 +8,7 @@
 //! entangled highway qubit (with Pauli/phase corrections fed forward to the
 //! hub data qubits) and releases all paths for the next round.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use mech_chiplet::{PhysCircuit, PhysQubit, QubitSet, SemGate1, SemGate2, SemPauli, Topology};
@@ -191,15 +191,6 @@ impl ShuttleState {
         self.stats
     }
 
-    /// The hub positions that must not be displaced by local routing while
-    /// the shuttle is open.
-    ///
-    /// Allocates; diagnostics and tests only. The compiler's hot path uses
-    /// [`ShuttleState::pinned_view`] instead.
-    pub fn pinned(&self) -> HashSet<PhysQubit> {
-        self.groups.iter().map(|g| g.hub_data).collect()
-    }
-
     /// Attaches the hub to the GHZ state: `CNOT(hub → entrance)`, measure
     /// the entrance, and feed X corrections forward to the group's
     /// remaining GHZ qubits (paper Fig. 3, left half). Returns the outcome
@@ -344,8 +335,9 @@ impl ShuttleState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ghz::prepare_ghz;
+    use crate::ghz::{prepare_ghz_with, GhzScratch};
     use mech_chiplet::{ChipletSpec, CostModel, HighwayLayout, Topology};
+    use std::collections::HashSet;
 
     fn setup() -> (Topology, HighwayLayout, ShuttleState) {
         let topo = ChipletSpec::square(7, 1, 2).build();
@@ -370,7 +362,15 @@ mod tests {
         let entrances: HashSet<PhysQubit> = path.iter().copied().collect();
         let nodes = st.occupancy.nodes_of(gid).to_vec();
         let edges = st.occupancy.edges_of(gid).to_vec();
-        let prep = prepare_ghz(pc, topo, hw, &nodes, &edges, &entrances);
+        let prep = prepare_ghz_with(
+            pc,
+            topo,
+            hw,
+            &nodes,
+            &edges,
+            &entrances,
+            &mut GhzScratch::default(),
+        );
         // Pick a hub access next to `a`.
         let hub_data = topo
             .neighbors(a)
@@ -400,7 +400,7 @@ mod tests {
 
         // Attach hub at the first live entrance.
         let hub_entrance = live[0];
-        let hub_data = st.pinned().into_iter().next().unwrap();
+        let hub_data = st.groups[0].hub_data;
         st.attach_hub(&mut pc, &topo, gid, hub_data, hub_entrance);
 
         // Execute a component at another live entrance.
@@ -436,7 +436,7 @@ mod tests {
         let (topo, hw, mut st) = setup();
         let mut pc = PhysCircuit::new(topo.num_qubits(), CostModel::default());
         let (gid, live) = open_group(&mut pc, &topo, &hw, &mut st);
-        let hub_data = st.pinned().into_iter().next().unwrap();
+        let hub_data = st.groups[0].hub_data;
         st.attach_hub(&mut pc, &topo, gid, hub_data, live[0]);
         // Same entrance again: must panic.
         st.attach_hub(&mut pc, &topo, gid, hub_data, live[0]);
@@ -447,7 +447,7 @@ mod tests {
         let (topo, hw, mut st) = setup();
         let mut pc = PhysCircuit::new(topo.num_qubits(), CostModel::default());
         let (gid, live) = open_group(&mut pc, &topo, &hw, &mut st);
-        let hub_data = st.pinned().into_iter().next().unwrap();
+        let hub_data = st.groups[0].hub_data;
         st.attach_hub(&mut pc, &topo, gid, hub_data, live[0]);
         let end = st.close(&mut pc).unwrap();
         assert_eq!(pc.time(hub_data), end);

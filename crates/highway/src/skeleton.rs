@@ -48,7 +48,7 @@ impl HighwaySkeleton {
     }
 
     /// Number of physical qubits on the device.
-    pub fn num_qubits(&self) -> usize {
+    pub(crate) fn num_qubits(&self) -> usize {
         self.is_highway.len()
     }
 
@@ -59,7 +59,7 @@ impl HighwaySkeleton {
 
     /// Upper bound on distinct primary-cost levels a claim search can
     /// produce (sizes the resumable Dial's bucket array).
-    pub fn dial_levels(&self) -> usize {
+    pub(crate) fn dial_levels(&self) -> usize {
         self.dial_levels
     }
 }

@@ -159,25 +159,6 @@ impl<'a> LocalRouter<'a> {
         Ok(())
     }
 
-    /// The SWAP cost from `from` to `to` (1 per data hop, 2 per highway
-    /// qubit crossed).
-    ///
-    /// # Errors
-    ///
-    /// [`RoutingError::Disconnected`] if no route exists.
-    pub fn data_distance<S: QubitSet>(
-        &mut self,
-        from: PhysQubit,
-        to: PhysQubit,
-        pinned: &S,
-    ) -> Result<u32, RoutingError> {
-        self.find_path(from, to, pinned)?;
-        Ok(self.scratch.path[1..]
-            .iter()
-            .map(|&q| if self.layout.is_highway(q) { 2 } else { 1 })
-            .sum())
-    }
-
     /// Emits the swaps moving the traveler along `path` (from `path[0]` to
     /// the last node), restoring every crossed highway ancilla to its
     /// position. The path must end on a data qubit.
@@ -376,7 +357,7 @@ mod tests {
             let first = data[0];
             for &q in data.iter().skip(1) {
                 assert!(
-                    r.data_distance(first, q, &HashSet::new()).is_ok(),
+                    r.find_path(first, q, &HashSet::new()).is_ok(),
                     "{s}: cannot route from {first} to {q}"
                 );
             }
@@ -562,6 +543,7 @@ mod tests {
         let (topo, hw) = setup();
         let mut r = LocalRouter::new(&topo, &hw);
         let q = hw.data_qubits()[0];
-        assert_eq!(r.data_distance(q, q, &HashSet::new()), Ok(0));
+        assert_eq!(r.find_path(q, q, &HashSet::new()), Ok(()));
+        assert_eq!(r.scratch.path, [q], "no hop, so no SWAP cost");
     }
 }

@@ -1,8 +1,8 @@
 //! A qubit-major stabilizer tableau (Aaronson–Gottesman CHP, laid out as
 //! in Stim).
 //!
-//! The dense state-vector simulator in [`crate::State`] verifies the MECH
-//! protocol identities on a dozen qubits; it cannot touch a 441-qubit
+//! The dense state-vector simulator (the `mech-statevec` crate) verifies
+//! the MECH protocol identities on a dozen qubits; it cannot touch a 441-qubit
 //! device. This tableau can: a full-device schedule verification is a few
 //! hundred kilobytes of bit matrix, and a gate costs a few dozen word
 //! operations.
@@ -131,7 +131,7 @@ impl PauliString {
     /// # Panics
     ///
     /// Panics if `map` is shorter than `n` qubits or maps out of range.
-    pub fn lift(&self, m: u32, map: &[u32]) -> PauliString {
+    pub(crate) fn lift(&self, m: u32, map: &[u32]) -> PauliString {
         assert!(map.len() >= self.n as usize, "map too short");
         let mut out = PauliString::identity(m);
         for q in 0..self.n {

@@ -43,8 +43,9 @@
 //!
 //! Protocol-internal measurements (GHZ cascade reading, shuttle
 //! open/close) draw their random outcomes from an [`OutcomePolicy`];
-//! sweeping [`OutcomePolicy::SWEEP`] drives every classically-controlled
-//! correction down both branches.
+//! [`SchedVerifier::verify_sweep`] runs zeros, ones and a seeded mix,
+//! which drives every classically-controlled correction down both
+//! branches.
 //!
 //! *Program* measurements are **purified** instead of sampled: on both
 //! sides, the `j`-th measurement of the program (in program order) is
@@ -91,7 +92,7 @@ impl OutcomePolicy {
     /// The three policies the verification suites sweep. `Zeros` and
     /// `Ones` cover both branches of every correction; the seeded policy
     /// adds an arbitrary interleaving.
-    pub const SWEEP: [OutcomePolicy; 3] = [
+    pub(crate) const SWEEP: [OutcomePolicy; 3] = [
         OutcomePolicy::Zeros,
         OutcomePolicy::Ones,
         OutcomePolicy::Seeded(0x6d65_6368),
@@ -343,7 +344,7 @@ impl<'a> SchedVerifier<'a> {
         self.run(&plan, &mut Tableau::new(plan.width), policy)
     }
 
-    /// Runs [`OutcomePolicy::SWEEP`] — zeros, ones, and a seeded mix — so
+    /// Runs three outcome policies — zeros, ones, and a seeded mix — so
     /// every classically-controlled correction is exercised on both
     /// branches. Returns the per-policy reports, or the first failure.
     ///

@@ -15,11 +15,11 @@ pub struct C64 {
 
 impl C64 {
     /// Zero.
-    pub const ZERO: C64 = C64 { re: 0.0, im: 0.0 };
+    pub(crate) const ZERO: C64 = C64 { re: 0.0, im: 0.0 };
     /// One.
-    pub const ONE: C64 = C64 { re: 1.0, im: 0.0 };
+    pub(crate) const ONE: C64 = C64 { re: 1.0, im: 0.0 };
     /// The imaginary unit.
-    pub const I: C64 = C64 { re: 0.0, im: 1.0 };
+    pub(crate) const I: C64 = C64 { re: 0.0, im: 1.0 };
 
     /// Creates `re + i·im`.
     pub fn new(re: f64, im: f64) -> Self {
@@ -27,7 +27,7 @@ impl C64 {
     }
 
     /// `e^{iθ}`.
-    pub fn cis(theta: f64) -> Self {
+    pub(crate) fn cis(theta: f64) -> Self {
         C64 {
             re: theta.cos(),
             im: theta.sin(),
@@ -35,7 +35,7 @@ impl C64 {
     }
 
     /// Complex conjugate.
-    pub fn conj(self) -> Self {
+    pub(crate) fn conj(self) -> Self {
         C64 {
             re: self.re,
             im: -self.im,
@@ -43,17 +43,12 @@ impl C64 {
     }
 
     /// Squared magnitude.
-    pub fn norm_sqr(self) -> f64 {
+    pub(crate) fn norm_sqr(self) -> f64 {
         self.re * self.re + self.im * self.im
     }
 
-    /// Magnitude.
-    pub fn abs(self) -> f64 {
-        self.norm_sqr().sqrt()
-    }
-
     /// Scales by a real factor.
-    pub fn scale(self, k: f64) -> Self {
+    pub(crate) fn scale(self, k: f64) -> Self {
         C64 {
             re: self.re * k,
             im: self.im * k,
@@ -129,7 +124,7 @@ mod tests {
     fn cis_is_unit_magnitude() {
         for k in 0..8 {
             let z = C64::cis(k as f64 * 0.7);
-            assert!((z.abs() - 1.0).abs() < 1e-12);
+            assert!((z.norm_sqr() - 1.0).abs() < 1e-12);
         }
     }
 

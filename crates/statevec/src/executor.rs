@@ -25,7 +25,7 @@ pub struct RunOutcome {
 ///
 /// ```
 /// use mech_circuit::{Circuit, Qubit};
-/// use mech_sim::run_circuit;
+/// use mech_statevec::run_circuit;
 /// use rand::rngs::StdRng;
 /// use rand::SeedableRng;
 ///

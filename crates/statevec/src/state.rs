@@ -26,18 +26,13 @@ impl State {
         State { n, amps }
     }
 
-    /// Number of qubits.
-    pub fn num_qubits(&self) -> u32 {
-        self.n
-    }
-
     /// The probability of a computational-basis state.
     pub fn probability(&self, basis: usize) -> f64 {
         self.amps[basis].norm_sqr()
     }
 
     /// Applies an arbitrary 2×2 unitary `[[a, b], [c, d]]` to qubit `q`.
-    pub fn apply_1q(&mut self, q: u32, m: [[C64; 2]; 2]) {
+    pub(crate) fn apply_1q(&mut self, q: u32, m: [[C64; 2]; 2]) {
         let mask = 1usize << q;
         for i in 0..self.amps.len() {
             if i & mask == 0 {
@@ -158,7 +153,7 @@ impl State {
 
     /// Measures qubit `q` in the computational basis, collapsing the state.
     /// Returns the outcome.
-    pub fn measure<R: Rng>(&mut self, q: u32, rng: &mut R) -> bool {
+    pub(crate) fn measure<R: Rng>(&mut self, q: u32, rng: &mut R) -> bool {
         let mask = 1usize << q;
         let p1: f64 = self
             .amps

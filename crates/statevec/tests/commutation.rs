@@ -9,7 +9,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use mech_circuit::{commutes, Circuit, CommutationDag, Gate, OneQubitGate, Qubit, TwoQubitKind};
-use mech_sim::State;
+use mech_statevec::State;
 
 const N: u32 = 4;
 const EPS: f64 = 1e-9;

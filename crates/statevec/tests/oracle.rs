@@ -21,7 +21,8 @@ use rand::{Rng, SeedableRng};
 
 use mech_circuit::benchmarks::random_clifford;
 use mech_circuit::{Circuit, Gate, OneQubitGate, TwoQubitKind};
-use mech_sim::{Membership, PauliString, State, Tableau, C64};
+use mech_sim::{Membership, PauliString, Tableau};
+use mech_statevec::{State, C64};
 
 const EPS: f64 = 1e-9;
 

@@ -7,8 +7,8 @@
 
 use mech::DeviceSpec;
 use mech_chiplet::{render_layout, ChipletSpec, CouplingStructure};
-use mech_sim::protocol::{ghz_chain, multi_target_protocol};
-use mech_sim::State;
+use mech_statevec::protocol::{ghz_chain, multi_target_protocol};
+use mech_statevec::State;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

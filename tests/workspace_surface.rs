@@ -5,13 +5,15 @@
 
 use std::process::Command;
 
-// Compile-time assertions: every member crate is reachable through the
-// umbrella paths documented in the README.
+// Compile-time assertions: every library crate is reachable through the
+// umbrella paths documented in the README. The state-vector oracle is a
+// dev-dependency, not part of the umbrella.
 use mech_repro::mech::{BaselineCompiler, CompilerConfig, DeviceSpec, MechCompiler, Metrics};
 use mech_repro::mech_circuit::benchmarks::qft;
 use mech_repro::mech_highway::ShuttleStats;
 use mech_repro::mech_router::Mapping;
-use mech_repro::mech_sim::State;
+use mech_repro::mech_sim::Tableau;
+use mech_statevec::State;
 
 #[test]
 fn umbrella_reexports_are_usable() {
@@ -41,7 +43,12 @@ fn umbrella_reexports_are_usable() {
     let mapping = Mapping::trivial(4, &slots);
     assert!(mapping.is_consistent());
 
-    // The simulator is independent of the compiler stack.
+    // The verifier's tableau and the state-vector oracle are independent
+    // of the compiler stack.
+    let mut t = Tableau::new(2);
+    t.h(0);
+    t.cnot(0, 1);
+    assert_eq!(t.num_qubits(), 2);
     let mut s = State::zero(2);
     s.h(0);
     s.cnot(0, 1);
