@@ -792,8 +792,9 @@ fn panic_detail(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used)]
+
     use super::*;
     use crate::programs;
     use mech::DeviceSpec;

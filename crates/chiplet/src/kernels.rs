@@ -374,12 +374,20 @@ pub fn astar_route<G: RoutingGraph>(
 /// Costs live in a caller-provided [`RoutingScratch`], so acceptance
 /// checks (`RoutingScratch::reached`) and backward min-id
 /// reconstruction run against the same settled state.
+///
+/// A live search survives a node whose entry weight drops to 0
+/// ([`DialSearch::zero_weight`]): the node is lowered and requeued, and
+/// the scan rewinds to its bucket. Recorded costs are path costs under
+/// the new weights, so they stay upper bounds, and draining from the
+/// rewound bucket reaches the same unique fixpoint a fresh search would.
 #[derive(Debug, Clone, Default)]
 pub struct DialSearch {
-    /// FIFO buckets indexed by primary cost (hops settle in BFS order
-    /// within a bucket).
+    /// FIFO buckets indexed by primary cost.
     buckets: Vec<VecDeque<PhysQubit>>,
-    /// Next bucket to drain (all primaries below are final).
+    /// Source of the live search.
+    src: PhysQubit,
+    /// Next bucket to drain (no entry is queued below it, so all
+    /// primaries below it are final).
     next: usize,
     /// Entries still queued across `buckets[next..]`.
     pending: usize,
@@ -423,8 +431,40 @@ impl DialSearch {
         scratch.begin(n);
         scratch.set_cost(src, start);
         self.buckets[start.0 as usize].push_back(src);
+        self.src = src;
         self.next = start.0 as usize;
         self.pending = 1;
+    }
+
+    /// Repairs the live search after entering `v` became free (weight 0;
+    /// the caller's `step` must return `Some(0)` for `v` from now on).
+    /// `v` is lowered to the best cost through a reached neighbor — or to
+    /// `(0, 0)` if it is the source — and requeued, rewinding the scan to
+    /// its new bucket, so the next [`DialSearch::advance_to`] propagates
+    /// the decrease. A reached neighbor must still be passable, which
+    /// holds while no weight has risen since [`DialSearch::begin`].
+    pub fn zero_weight<G: RoutingGraph>(
+        &mut self,
+        scratch: &mut RoutingScratch,
+        g: &G,
+        v: PhysQubit,
+    ) {
+        let lowered = if v == self.src {
+            Some((0, 0))
+        } else {
+            g.neighbors(v)
+                .iter()
+                .map(|&u| scratch.cost(u))
+                .filter(|&c| c != UNREACHED)
+                .map(|c| (c.0, c.1 + 1))
+                .min()
+        };
+        if let Some(cost) = lowered.filter(|&c| c < scratch.cost(v)) {
+            scratch.set_cost(v, cost);
+            self.buckets[cost.0 as usize].push_back(v);
+            self.pending += 1;
+            self.next = self.next.min(cost.0 as usize);
+        }
     }
 
     /// Drains the live search until `to`'s cost is final (returning
@@ -446,7 +486,10 @@ impl DialSearch {
                 return true;
             }
             if self.pending == 0 {
-                return false;
+                // Exhausted: every recorded cost is final. After a
+                // `zero_weight` rewound `next`, a reached `to` may sit at
+                // or above it, so "below `next`" alone would miss it.
+                return c != UNREACHED;
             }
             let p = self.next;
             while let Some(q) = self.buckets[p].pop_front() {
@@ -613,6 +656,76 @@ mod tests {
             scratch.cost(PhysQubit(24)).0,
             1 + grid_distance(&topo, PhysQubit(0), PhysQubit(24))
         );
+    }
+
+    /// Zeroing node weights under a live search with `zero_weight` must
+    /// settle exactly the costs a fresh search under the new weights
+    /// settles — whether the old search was half drained or exhausted,
+    /// and with or without the source among the zeroed nodes.
+    #[test]
+    fn zero_weight_repair_matches_a_fresh_search() {
+        let topo = ChipletSpec::square(6, 1, 2).build();
+        let n = topo.num_qubits() as usize;
+        let src = PhysQubit(7);
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next_rand = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for round in 0..40 {
+            // Weight 0 (cheap), 1 (plain) or impassable; the cheap set only
+            // ever grows, so every change is a decrease.
+            let mut weight: Vec<Option<u32>> = (0..n)
+                .map(|_| (next_rand() % 9 != 0).then_some(1))
+                .collect();
+            weight[src.index()] = Some(1);
+            let mut scratch = RoutingScratch::default();
+            let mut dial = DialSearch::default();
+            dial.fit(n + 1);
+            dial.begin(&mut scratch, n, src, (1, 0));
+            // Drain partway (or fully, on odd rounds) before any change.
+            let probe = PhysQubit((next_rand() % n as u64) as u32);
+            let target = if round % 2 == 1 { PhysQubit(0) } else { probe };
+            let w = weight.clone();
+            dial.advance_to(&mut scratch, &topo, target, |q| w[q.index()]);
+            if round % 2 == 1 {
+                for q in topo.qubits() {
+                    dial.advance_to(&mut scratch, &topo, q, |v| w[v.index()]);
+                }
+            }
+            for _ in 0..3 {
+                let lowered: Vec<PhysQubit> = topo
+                    .qubits()
+                    .filter(|q| weight[q.index()] == Some(1) && next_rand() % 5 == 0)
+                    .collect();
+                for &v in &lowered {
+                    weight[v.index()] = Some(0);
+                }
+                for &v in &lowered {
+                    dial.zero_weight(&mut scratch, &topo, v);
+                }
+                let mut fresh_scratch = RoutingScratch::default();
+                let mut fresh = DialSearch::default();
+                fresh.fit(n + 1);
+                let start = (weight[src.index()].unwrap_or(1), 0);
+                fresh.begin(&mut fresh_scratch, n, src, start);
+                let w = weight.clone();
+                for q in topo.qubits() {
+                    let got = dial.advance_to(&mut scratch, &topo, q, |v| w[v.index()]);
+                    let want = fresh.advance_to(&mut fresh_scratch, &topo, q, |v| w[v.index()]);
+                    assert_eq!(got, want, "round {round}: reachability of {q}");
+                    if want {
+                        assert_eq!(
+                            scratch.cost(q),
+                            fresh_scratch.cost(q),
+                            "round {round}: final cost of {q}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -276,6 +276,14 @@ impl RoutingScratch {
     /// have — its stored cost at the early exit is already final, and the
     /// predecessor match sets are identical in both runs.
     ///
+    /// **Early stop.** The walk also ends at the first node for which
+    /// `stop` holds, leaving `self.path` as the suffix from that node to
+    /// `to`. Because each step is a pure function of the node and the
+    /// settled costs, the part left out is exactly the path a walk to the
+    /// stop node would produce; callers that already hold that path (the
+    /// claim engine marks the paths it has applied) skip it this way.
+    /// Pass `|_| false` for the full path.
+    ///
     /// Requires every node on the optimal path to carry its final cost
     /// (the searches guarantee this before calling).
     pub fn reconstruct_path<I: Iterator<Item = PhysQubit>>(
@@ -284,12 +292,13 @@ impl RoutingScratch {
         to: PhysQubit,
         step: impl Fn(PhysQubit) -> SearchCost,
         neighbors: impl Fn(PhysQubit) -> I,
+        stop: impl Fn(PhysQubit) -> bool,
     ) {
         self.path.clear();
         self.path.push(to);
         let mut cur = to;
         let mut g_cur = self.cost(to);
-        while cur != from {
+        while cur != from && !stop(cur) {
             let w = step(cur);
             let target = (g_cur.0 - w.0, g_cur.1 - w.1);
             let mut parent: Option<PhysQubit> = None;

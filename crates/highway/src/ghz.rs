@@ -363,76 +363,12 @@ pub fn prepare_ghz_with(
 }
 
 #[cfg(test)]
-mod chain_tests {
-    use super::*;
-    use mech_chiplet::{ChipletSpec, CostModel};
-
-    #[test]
-    fn chain_prep_keeps_all_nodes_live_without_measurements() {
-        let topo = ChipletSpec::square(7, 1, 2).build();
-        let hw = HighwayLayout::generate(&topo, 1);
-        let nodes: Vec<PhysQubit> = hw.nodes()[..5].to_vec();
-        // Build a connected subtree over the first nodes via BFS edges.
-        let mut edges = Vec::new();
-        let mut seen = vec![nodes[0]];
-        while seen.len() < nodes.len() {
-            let mut grew = false;
-            for &q in &seen.clone() {
-                for nb in hw.highway_neighbors(q) {
-                    if nodes.contains(&nb) && !seen.contains(&nb) {
-                        edges.push((q, nb));
-                        seen.push(nb);
-                        grew = true;
-                    }
-                }
-            }
-            if !grew {
-                return; // the first five nodes are not contiguous here; skip
-            }
-        }
-        let mut pc = PhysCircuit::new(topo.num_qubits(), CostModel::default());
-        let prep = prepare_ghz_chain(&mut pc, &topo, &hw, &seen, &edges);
-        assert_eq!(prep.live.len(), seen.len());
-        assert!(prep.measured.is_empty());
-        assert_eq!(pc.counts().measurements, 0);
-    }
-
-    #[test]
-    fn chain_depth_grows_with_length_unlike_measurement_based() {
-        // Compare depth *growth* between a short and a long path: the
-        // cascade's critical path scales with length, the measurement-based
-        // scheme stays (nearly) flat.
-        let topo = ChipletSpec::square(7, 2, 3).build();
-        let hw = HighwayLayout::generate(&topo, 1);
-        let prep_depths = |k: usize| -> (u64, u64) {
-            let (nodes, edges) = super::tests::chain(&hw, k);
-            assert!(nodes.len() >= k, "need a path of {k} nodes");
-            let mut pc_chain = PhysCircuit::new(topo.num_qubits(), CostModel::default());
-            let chain = prepare_ghz_chain(&mut pc_chain, &topo, &hw, &nodes, &edges);
-            let mut pc_mb = PhysCircuit::new(topo.num_qubits(), CostModel::default());
-            let mb =
-                super::tests::prepare_ghz(&mut pc_mb, &topo, &hw, &nodes, &edges, &HashSet::new());
-            (chain.ready_at, mb.ready_at)
-        };
-        let (chain_short, mb_short) = prep_depths(5);
-        let (chain_long, mb_long) = prep_depths(16);
-        let chain_growth = chain_long - chain_short;
-        let mb_growth = mb_long.saturating_sub(mb_short);
-        assert!(
-            chain_growth >= 3 * mb_growth.max(1),
-            "chain grew {chain_growth}, measurement-based grew {mb_growth}"
-        );
-        assert!(chain_long > mb_long);
-    }
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
     use mech_chiplet::{ChipletSpec, CostModel};
 
     /// [`prepare_ghz_with`] on a fresh scratch.
-    pub(super) fn prepare_ghz(
+    fn prepare_ghz(
         pc: &mut PhysCircuit,
         topo: &Topology,
         layout: &HighwayLayout,
@@ -459,10 +395,7 @@ mod tests {
 
     /// Claims a chain of up to `k` highway nodes along a real route between
     /// two far-apart highway qubits.
-    pub(super) fn chain(
-        hw: &HighwayLayout,
-        k: usize,
-    ) -> (Vec<PhysQubit>, Vec<(PhysQubit, PhysQubit)>) {
+    fn chain(hw: &HighwayLayout, k: usize) -> (Vec<PhysQubit>, Vec<(PhysQubit, PhysQubit)>) {
         use std::collections::VecDeque;
         // BFS over the highway graph from nodes[0] to find a long shortest
         // path, then truncate to k nodes.
@@ -584,5 +517,62 @@ mod tests {
             &HashSet::new(),
         );
         assert_eq!(pc.counts().cross_chip_cnots, 1);
+    }
+
+    #[test]
+    fn chain_prep_keeps_all_nodes_live_without_measurements() {
+        let topo = ChipletSpec::square(7, 1, 2).build();
+        let hw = HighwayLayout::generate(&topo, 1);
+        let nodes: Vec<PhysQubit> = hw.nodes()[..5].to_vec();
+        // Build a connected subtree over the first nodes via BFS edges.
+        let mut edges = Vec::new();
+        let mut seen = vec![nodes[0]];
+        while seen.len() < nodes.len() {
+            let mut grew = false;
+            for &q in &seen.clone() {
+                for nb in hw.highway_neighbors(q) {
+                    if nodes.contains(&nb) && !seen.contains(&nb) {
+                        edges.push((q, nb));
+                        seen.push(nb);
+                        grew = true;
+                    }
+                }
+            }
+            if !grew {
+                return; // the first five nodes are not contiguous here; skip
+            }
+        }
+        let mut pc = PhysCircuit::new(topo.num_qubits(), CostModel::default());
+        let prep = prepare_ghz_chain(&mut pc, &topo, &hw, &seen, &edges);
+        assert_eq!(prep.live.len(), seen.len());
+        assert!(prep.measured.is_empty());
+        assert_eq!(pc.counts().measurements, 0);
+    }
+
+    #[test]
+    fn chain_depth_grows_with_length_unlike_measurement_based() {
+        // Compare depth *growth* between a short and a long path: the
+        // cascade's critical path scales with length, the measurement-based
+        // scheme stays (nearly) flat.
+        let topo = ChipletSpec::square(7, 2, 3).build();
+        let hw = HighwayLayout::generate(&topo, 1);
+        let prep_depths = |k: usize| -> (u64, u64) {
+            let (nodes, edges) = chain(&hw, k);
+            assert!(nodes.len() >= k, "need a path of {k} nodes");
+            let mut pc_chain = PhysCircuit::new(topo.num_qubits(), CostModel::default());
+            let chain = prepare_ghz_chain(&mut pc_chain, &topo, &hw, &nodes, &edges);
+            let mut pc_mb = PhysCircuit::new(topo.num_qubits(), CostModel::default());
+            let mb = prepare_ghz(&mut pc_mb, &topo, &hw, &nodes, &edges, &HashSet::new());
+            (chain.ready_at, mb.ready_at)
+        };
+        let (chain_short, mb_short) = prep_depths(5);
+        let (chain_long, mb_long) = prep_depths(16);
+        let chain_growth = chain_long - chain_short;
+        let mb_growth = mb_long.saturating_sub(mb_short);
+        assert!(
+            chain_growth >= 3 * mb_growth.max(1),
+            "chain grew {chain_growth}, measurement-based grew {mb_growth}"
+        );
+        assert!(chain_long > mb_long);
     }
 }

@@ -2,22 +2,26 @@
 //!
 //! Claiming is built around a **one-search engine**: a single Dijkstra
 //! from a search origin (the hub entrance, during group assembly) settles
-//! the minimal-new-claim cost to *every* highway node at once, and stays
-//! valid until the owner state changes. Against a settled search,
-//! candidate destinations are accepted or rejected in O(1) and winning
-//! paths are reconstructed from the same cost field — provably the path a
-//! dedicated per-candidate search would have found, since both are pure
-//! in `(owner, group, origin, destination)` (see
+//! the minimal-new-claim cost to *every* highway node at once. Against a
+//! settled search, candidate destinations are accepted or rejected in
+//! O(1) and winning paths are reconstructed from the same cost field —
+//! provably the path a dedicated per-candidate search would have found,
+//! since both are pure in `(owner, group, origin, destination)` (see
 //! [`RoutingScratch::reconstruct_path`] for the argument, and
-//! `DESIGN.md` §9 for the engine contract). The search runs over the
-//! device's shared [`HighwaySkeleton`], the one claim graph.
+//! `DESIGN.md` §9 for the engine contract). When the searching group's
+//! own claim grows its corridor, the search is repaired in place (the
+//! new nodes only got cheaper to enter); any other owner change starts a
+//! fresh one. The search runs over the device's shared
+//! [`HighwaySkeleton`], the one claim graph.
 
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
 use mech_chiplet::fault::{self, FaultSite};
-use mech_chiplet::{CancelToken, DialSearch, PhysQubit, RoutingScratch};
+use mech_chiplet::{
+    CancelToken, DialSearch, PhysQubit, QubitSet, RoutingGraph, RoutingScratch, StampSet,
+};
 
 use crate::skeleton::HighwaySkeleton;
 
@@ -121,12 +125,13 @@ pub struct HighwayOccupancy {
     /// The resumable 0/1-bucket kernel driving the one-search claim
     /// engine.
     dial: DialSearch,
-    /// `(origin, group)` of the search currently live in `scratch`.
+    /// `(origin, group)` of the search live in `scratch`; `None` once an
+    /// owner change the search cannot absorb invalidates it.
     search_key: Option<(PhysQubit, GroupId)>,
-    /// Owner-state generation the live search was computed at.
-    search_epoch: u64,
-    /// Bumped on every owner change; a mismatch invalidates the search.
-    owner_epoch: u64,
+    /// Nodes whose path back to the live search's origin has been applied
+    /// under its current cost field (cleared on every begin and repair);
+    /// a claim's backward walk stops at the first one.
+    applied: StampSet,
     searches: u64,
     skips: u64,
 }
@@ -149,8 +154,7 @@ impl HighwayOccupancy {
             skeleton,
             dial,
             search_key: None,
-            search_epoch: 0,
-            owner_epoch: 0,
+            applied: StampSet::default(),
             searches: 0,
             skips: 0,
         }
@@ -209,10 +213,10 @@ impl HighwayOccupancy {
     /// path for `g`, minimizing newly claimed qubits (reuse within the same
     /// gate is free). Returns the node path including both endpoints.
     ///
-    /// Consecutive claims sharing an origin and owner state reuse one
-    /// settled search: rejections and acceptances after the first claim
-    /// are O(1) until a claim actually grows the owner set (see the
-    /// module docs).
+    /// Consecutive claims of one group from one origin share one search:
+    /// after the first, rejections and acceptances are answered from its
+    /// settled costs, and a claim that grows the group's corridor repairs
+    /// it in place instead of discarding it (see the module docs).
     ///
     /// # Errors
     ///
@@ -225,7 +229,7 @@ impl HighwayOccupancy {
         to: PhysQubit,
         g: GroupId,
     ) -> Result<Vec<PhysQubit>, RouteError> {
-        self.try_claim(from, to, g)?;
+        self.claim(from, to, g, false)?;
         Ok(self.scratch.path.clone())
     }
 
@@ -233,7 +237,12 @@ impl HighwayOccupancy {
     /// claims in place and reports only success. The compiler's group
     /// assembly uses this — it reads the claims back via
     /// [`HighwayOccupancy::nodes_of`] / [`HighwayOccupancy::edges_of`], so
-    /// the per-claim path allocation would be pure overhead.
+    /// the per-claim path allocation would be pure overhead. For the same
+    /// reason its backward walk stops at the first node whose path back to
+    /// `from` an earlier claim already applied: that prefix is owned and
+    /// its edges are recorded, so skipping it leaves
+    /// [`HighwayOccupancy::nodes_of`] / [`HighwayOccupancy::edges_of`]
+    /// exactly as the full path would.
     ///
     /// # Errors
     ///
@@ -243,6 +252,20 @@ impl HighwayOccupancy {
         from: PhysQubit,
         to: PhysQubit,
         g: GroupId,
+    ) -> Result<(), RouteError> {
+        self.claim(from, to, g, true)
+    }
+
+    /// The claim behind [`HighwayOccupancy::claim_route`] (`walk_stop`
+    /// off: the scratch path is the full route) and
+    /// [`HighwayOccupancy::try_claim`] (`walk_stop` on: the scratch path
+    /// may start at an already-applied node).
+    fn claim(
+        &mut self,
+        from: PhysQubit,
+        to: PhysQubit,
+        g: GroupId,
+        walk_stop: bool,
     ) -> Result<(), RouteError> {
         for q in [from, to] {
             if !self.skeleton.is_highway(q) {
@@ -268,15 +291,18 @@ impl HighwayOccupancy {
             return Ok(());
         }
 
-        if self.search_key != Some((from, g)) || self.search_epoch != self.owner_epoch {
-            self.begin_search(from, g);
-        } else {
+        if self.search_key == Some((from, g)) {
             self.skips += 1;
+        } else {
+            self.begin_search(from, g);
         }
         if !self.advance_search_to(to, g) {
             return Err(RouteError::Congested);
         }
-        self.reconstruct(from, to, g);
+        self.reconstruct(from, to, g, walk_stop);
+        for &q in &self.scratch.path {
+            self.applied.insert(q);
+        }
         self.apply_claim(g);
         Ok(())
     }
@@ -299,8 +325,8 @@ impl HighwayOccupancy {
         let start = (u32::from(self.owner[from.index()] != Some(g)), 0);
         self.dial
             .begin(&mut self.scratch, self.owner.len(), from, start);
+        self.applied.begin(self.owner.len());
         self.search_key = Some((from, g));
-        self.search_epoch = self.owner_epoch;
         self.searches += 1;
     }
 
@@ -326,11 +352,13 @@ impl HighwayOccupancy {
     /// the scratch path buffer, walking backwards by minimum-id
     /// predecessor — exactly the prev tree of the `(cost, hops, qubit)`-
     /// ordered forward search (see [`RoutingScratch::reconstruct_path`]).
-    fn reconstruct(&mut self, from: PhysQubit, to: PhysQubit, g: GroupId) {
+    /// With `walk_stop` the walk ends at the first applied node.
+    fn reconstruct(&mut self, from: PhysQubit, to: PhysQubit, g: GroupId, walk_stop: bool) {
         let Self {
             owner,
             scratch,
             skeleton,
+            applied,
             ..
         } = self;
         let graph = skeleton.csr();
@@ -338,19 +366,15 @@ impl HighwayOccupancy {
             from,
             to,
             |q| (u32::from(owner[q.index()] != Some(g)), 1),
-            |q| {
-                mech_chiplet::RoutingGraph::neighbors(graph, q)
-                    .iter()
-                    .copied()
-            },
+            |q| graph.neighbors(q).iter().copied(),
+            |q| walk_stop && applied.contains_qubit(q),
         );
-        debug_assert_eq!(scratch.path[0], from);
+        debug_assert!(scratch.path[0] == from || applied.contains_qubit(scratch.path[0]));
     }
 
     /// Claims every unowned node of the scratch path for `g` and records
     /// the traversed edges, deduplicated in O(1) via the edge-stamp table.
-    /// Growing the owner set bumps the epoch, invalidating settled
-    /// searches.
+    /// Growth repairs `g`'s own live search and invalidates any other.
     fn apply_claim(&mut self, g: GroupId) {
         if !self.groups.contains_key(&g) {
             let mut claim = self.claim_pool.pop().unwrap_or_default();
@@ -372,31 +396,42 @@ impl HighwayOccupancy {
             edge_seen,
             scratch,
             skeleton,
-            owner_epoch,
+            dial,
+            search_key,
+            applied,
             ..
         } = self;
         let graph = skeleton.csr();
-        let path = scratch.path.as_slice();
         let claim = groups.get_mut(&g).expect("inserted above");
-        let mut grew = false;
-        for &q in path {
+        let before = claim.nodes.len();
+        for &q in &scratch.path {
             if owner[q.index()].is_none() {
                 owner[q.index()] = Some(g);
                 *claimed += 1;
-                grew = true;
                 claim.nodes.push(q);
             }
         }
-        if grew {
-            *owner_epoch += 1;
-        }
-        for w in path.windows(2) {
+        for w in scratch.path.windows(2) {
             let eid = graph
                 .edge_id(w[0], w[1])
                 .expect("claimed paths step along highway edges") as usize;
             if edge_seen[eid] != claim.stamp {
                 edge_seen[eid] = claim.stamp;
                 claim.edges.push((w[0].min(w[1]), w[0].max(w[1])));
+            }
+        }
+        if claim.nodes.len() > before {
+            if search_key.is_some_and(|(_, sg)| sg == g) {
+                // Entering the new nodes now costs `g` 0 instead of 1: a
+                // pure decrease, repaired in place (`DESIGN.md` §9.2).
+                // Applied-path marks belong to the old cost field.
+                for &v in &claim.nodes[before..] {
+                    dial.zero_weight(scratch, graph, v);
+                }
+                applied.begin(owner.len());
+            } else {
+                // The new nodes are impassable to any other group.
+                *search_key = None;
             }
         }
     }
@@ -415,7 +450,9 @@ impl HighwayOccupancy {
             if let Ok(pos) = self.active.binary_search(&g) {
                 self.active.remove(pos);
             }
-            self.owner_epoch += 1;
+            // Weights rise for `g` and fall for every other group; a
+            // repair absorbs only `g`'s own decreases, so start afresh.
+            self.search_key = None;
         }
     }
 
@@ -432,7 +469,7 @@ impl HighwayOccupancy {
             self.claim_pool.push(claim);
         }
         self.active.clear();
-        self.owner_epoch += 1;
+        self.search_key = None;
     }
 
     /// Number of currently claimed qubits (O(1), maintained incrementally).

@@ -154,6 +154,7 @@ impl<'a> LocalRouter<'a> {
             to,
             |q| if layout.is_highway(q) { (2, 0) } else { (1, 0) },
             |q| topo.neighbors(q).iter().copied(),
+            |_| false,
         );
         debug_assert_eq!(scratch.path[0], from);
         Ok(())

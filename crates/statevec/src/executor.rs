@@ -2,7 +2,7 @@
 
 use rand::Rng;
 
-use mech_circuit::{Circuit, Gate, OneQubitGate, TwoQubitKind};
+use mech_circuit::{Circuit, Gate};
 
 use crate::state::State;
 
@@ -46,29 +46,8 @@ pub fn run_circuit<R: Rng>(circuit: &Circuit, rng: &mut R) -> RunOutcome {
     let mut measurements = Vec::new();
     for gate in circuit.gates() {
         match *gate {
-            Gate::One { gate, q } => match gate {
-                OneQubitGate::H => state.h(q.0),
-                OneQubitGate::X => state.x(q.0),
-                OneQubitGate::Y => state.y(q.0),
-                OneQubitGate::Z => state.z(q.0),
-                OneQubitGate::S => state.s(q.0),
-                OneQubitGate::Sdg => state.rz(q.0, -std::f64::consts::FRAC_PI_2),
-                OneQubitGate::T => state.rz(q.0, std::f64::consts::FRAC_PI_4),
-                OneQubitGate::Tdg => state.rz(q.0, -std::f64::consts::FRAC_PI_4),
-                OneQubitGate::Rx(a) => state.rx(q.0, a),
-                OneQubitGate::Ry(a) => state.ry(q.0, a),
-                OneQubitGate::Rz(a) => state.rz(q.0, a),
-            },
-            Gate::Two { kind, a, b, angle } => match kind {
-                TwoQubitKind::Cnot => state.cnot(a.0, b.0),
-                TwoQubitKind::Cz => state.cz(a.0, b.0),
-                TwoQubitKind::Cphase => state.cp(a.0, b.0, angle),
-                TwoQubitKind::Rzz => state.rzz(a.0, b.0, angle),
-                TwoQubitKind::Swap => state.swap(a.0, b.0),
-            },
-            Gate::Measure { q } => {
-                measurements.push(state.measure(q.0, rng));
-            }
+            Gate::Measure { q } => measurements.push(state.measure(q.0, rng)),
+            _ => state.apply(gate),
         }
     }
     RunOutcome {

@@ -1,5 +1,7 @@
 use rand::Rng;
 
+use mech_circuit::{Gate, OneQubitGate, TwoQubitKind};
+
 use crate::complex::C64;
 
 /// A dense `n`-qubit state vector (little-endian: qubit 0 is the least
@@ -24,6 +26,40 @@ impl State {
         let mut amps = vec![C64::ZERO; 1usize << n];
         amps[0] = C64::ONE;
         State { n, amps }
+    }
+
+    /// Applies one unitary program gate: the one place the simulator
+    /// reads a [`Gate`].
+    ///
+    /// # Panics
+    ///
+    /// Panics on [`Gate::Measure`]: sampling needs an rng, so
+    /// [`run_circuit`](crate::run_circuit) measures on its own and other
+    /// callers collapse with [`State::collapse`].
+    pub fn apply(&mut self, gate: &Gate) {
+        match *gate {
+            Gate::One { gate, q } => match gate {
+                OneQubitGate::H => self.h(q.0),
+                OneQubitGate::X => self.x(q.0),
+                OneQubitGate::Y => self.y(q.0),
+                OneQubitGate::Z => self.z(q.0),
+                OneQubitGate::S => self.s(q.0),
+                OneQubitGate::Sdg => self.rz(q.0, -std::f64::consts::FRAC_PI_2),
+                OneQubitGate::T => self.rz(q.0, std::f64::consts::FRAC_PI_4),
+                OneQubitGate::Tdg => self.rz(q.0, -std::f64::consts::FRAC_PI_4),
+                OneQubitGate::Rx(a) => self.rx(q.0, a),
+                OneQubitGate::Ry(a) => self.ry(q.0, a),
+                OneQubitGate::Rz(a) => self.rz(q.0, a),
+            },
+            Gate::Two { kind, a, b, angle } => match kind {
+                TwoQubitKind::Cnot => self.cnot(a.0, b.0),
+                TwoQubitKind::Cz => self.cz(a.0, b.0),
+                TwoQubitKind::Cphase => self.cp(a.0, b.0, angle),
+                TwoQubitKind::Rzz => self.rzz(a.0, b.0, angle),
+                TwoQubitKind::Swap => self.swap(a.0, b.0),
+            },
+            Gate::Measure { .. } => panic!("State::apply takes unitary gates only"),
+        }
     }
 
     /// The probability of a computational-basis state.

@@ -14,32 +14,6 @@ use mech_statevec::State;
 const N: u32 = 4;
 const EPS: f64 = 1e-9;
 
-fn apply(state: &mut State, gate: &Gate) {
-    match *gate {
-        Gate::One { gate, q } => match gate {
-            OneQubitGate::H => state.h(q.0),
-            OneQubitGate::X => state.x(q.0),
-            OneQubitGate::Y => state.y(q.0),
-            OneQubitGate::Z => state.z(q.0),
-            OneQubitGate::S => state.s(q.0),
-            OneQubitGate::Sdg => state.rz(q.0, -std::f64::consts::FRAC_PI_2),
-            OneQubitGate::T => state.rz(q.0, std::f64::consts::FRAC_PI_4),
-            OneQubitGate::Tdg => state.rz(q.0, -std::f64::consts::FRAC_PI_4),
-            OneQubitGate::Rx(a) => state.rx(q.0, a),
-            OneQubitGate::Ry(a) => state.ry(q.0, a),
-            OneQubitGate::Rz(a) => state.rz(q.0, a),
-        },
-        Gate::Two { kind, a, b, angle } => match kind {
-            TwoQubitKind::Cnot => state.cnot(a.0, b.0),
-            TwoQubitKind::Cz => state.cz(a.0, b.0),
-            TwoQubitKind::Cphase => state.cp(a.0, b.0, angle),
-            TwoQubitKind::Rzz => state.rzz(a.0, b.0, angle),
-            TwoQubitKind::Swap => state.swap(a.0, b.0),
-        },
-        Gate::Measure { .. } => unreachable!("measurements excluded from this test"),
-    }
-}
-
 fn arb_gate() -> impl Strategy<Value = Gate> {
     let one = (0u32..N, 0usize..7).prop_map(|(q, k)| {
         let gate = match k {
@@ -83,11 +57,11 @@ proptest! {
             let mut rng = StdRng::seed_from_u64(42);
             let input = State::random_product(N, &mut rng);
             let mut ab = input.clone();
-            apply(&mut ab, &a);
-            apply(&mut ab, &b);
+            ab.apply(&a);
+            ab.apply(&b);
             let mut ba = input;
-            apply(&mut ba, &b);
-            apply(&mut ba, &a);
+            ba.apply(&b);
+            ba.apply(&a);
             prop_assert!(
                 ab.approx_eq(&ba, EPS),
                 "{a} and {b} claimed to commute but differ (fidelity {})",
@@ -122,7 +96,7 @@ proptest! {
         // Program order.
         let mut reference = State::zero(N);
         for g in c.gates() {
-            apply(&mut reference, g);
+            reference.apply(g);
         }
 
         // A greedy anti-program order: always complete the LAST ready gate.
@@ -132,7 +106,7 @@ proptest! {
         while !sched.is_finished() {
             // The highest ready id of either kind.
             let id = sched.ready_one_qubit().chain(sched.ready_two_qubit()).max().unwrap();
-            apply(&mut state, &c.gates()[id.index()]);
+            state.apply(&c.gates()[id.index()]);
             sched.complete(id);
         }
         prop_assert!(

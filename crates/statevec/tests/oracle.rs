@@ -26,27 +26,6 @@ use mech_statevec::{State, C64};
 
 const EPS: f64 = 1e-9;
 
-fn apply_sv(state: &mut State, gate: &Gate) {
-    match *gate {
-        Gate::One { gate, q } => match gate {
-            OneQubitGate::H => state.h(q.0),
-            OneQubitGate::X => state.x(q.0),
-            OneQubitGate::Y => state.y(q.0),
-            OneQubitGate::Z => state.z(q.0),
-            OneQubitGate::S => state.s(q.0),
-            OneQubitGate::Sdg => state.rz(q.0, -std::f64::consts::FRAC_PI_2),
-            _ => unreachable!("non-clifford gate in a clifford circuit"),
-        },
-        Gate::Two { kind, a, b, .. } => match kind {
-            TwoQubitKind::Cnot => state.cnot(a.0, b.0),
-            TwoQubitKind::Cz => state.cz(a.0, b.0),
-            TwoQubitKind::Swap => state.swap(a.0, b.0),
-            _ => unreachable!("non-clifford gate in a clifford circuit"),
-        },
-        Gate::Measure { .. } => unreachable!("measurements handled by the caller"),
-    }
-}
-
 fn apply_tab(tab: &mut Tableau, gate: &Gate) {
     match *gate {
         Gate::One { gate, q } => match gate {
@@ -128,7 +107,7 @@ fn lockstep(circuit: &Circuit, outcome_seed: u64) -> (State, Tableau) {
             }
             sv.collapse(q.0, m.value);
         } else {
-            apply_sv(&mut sv, gate);
+            sv.apply(gate);
             apply_tab(&mut tab, gate);
         }
     }

@@ -201,6 +201,17 @@ fn decode(kind: u8, g: u8, a: u16, b: u16) -> Op {
     }
 }
 
+/// Asserts that engine and oracle hold identical bookkeeping.
+fn assert_same_books(engine: &HighwayOccupancy, oracle: &Oracle, groups: u32) {
+    prop_assert_eq!(engine.claimed_count(), oracle.claimed_count());
+    prop_assert_eq!(engine.active_groups(), oracle.active_groups());
+    for gid in 0..groups {
+        let g = GroupId(gid);
+        prop_assert_eq!(engine.nodes_of(g), oracle.nodes_of(g));
+        prop_assert_eq!(engine.edges_of(g), oracle.edges_of(g));
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -242,20 +253,153 @@ proptest! {
                 }
             }
             // Bookkeeping stays identical after every step.
-            prop_assert_eq!(engine.claimed_count(), oracle.claimed_count());
-            prop_assert_eq!(engine.active_groups(), oracle.active_groups());
-            for gid in 0..4u32 {
-                let g = GroupId(gid);
-                prop_assert_eq!(engine.nodes_of(g), oracle.nodes_of(g));
-                prop_assert_eq!(engine.edges_of(g), oracle.edges_of(g));
+            assert_same_books(&engine, &oracle, 4);
+        }
+    }
+}
+
+/// One step of a group's assembly, decoded from proptest scalars.
+#[derive(Debug, Clone, Copy)]
+enum AssemblyStep {
+    /// A claim from the group's origin to any highway node: often
+    /// unavailable, owned by another group or walled off.
+    Anywhere(u16),
+    /// A claim to a node the group already owns (zero growth).
+    Owned(u16),
+    /// A claim to a neighbor of a node the group owns (small growth).
+    Adjacent(u16, u8),
+    /// Another active group claims from its own first node.
+    OtherClaims(u16, u16),
+    /// Another active group is released.
+    OtherReleases(u16),
+}
+
+fn decode_step(kind: u8, a: u16, b: u16) -> AssemblyStep {
+    match kind % 10 {
+        0..=2 => AssemblyStep::Anywhere(a),
+        3..=4 => AssemblyStep::Owned(a),
+        5..=7 => AssemblyStep::Adjacent(a, b as u8),
+        8 => AssemblyStep::OtherClaims(a, b),
+        _ => AssemblyStep::OtherReleases(a),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Shaped like group assembly: each group claims its origin, then runs
+    /// many consecutive claims from that one origin — growing and
+    /// zero-growth, to unavailable, foreign-owned and unreachable
+    /// candidates, including claims against a search the previous claims
+    /// drained to exhaustion — with other groups claiming and releasing in
+    /// between. Each `(origin, group)` keeps one live search across its own
+    /// growth, so this exercises the in-place repair (and its finality
+    /// rule) that the churn test above, which rarely repeats a key, does
+    /// not. `try_claim` and `claim_route` alternate so both the stopped and
+    /// the full backward walk run against the same marks.
+    #[test]
+    fn group_assembly_matches_per_candidate_dijkstra(
+        d in 5u32..8,
+        cols in 1u32..3,
+        density in 1u32..3,
+        groups in prop::collection::vec(
+            (
+                0u16..512,
+                prop::collection::vec((0u8..10, 0u16..512, 0u16..512), 1..40),
+                0u8..4,
+            ),
+            1..10,
+        ),
+    ) {
+        let topo = ChipletSpec::square(d, 2, cols).build();
+        let hw = HighwayLayout::generate(&topo, density);
+        let skeleton = HighwaySkeleton::build(topo.num_qubits() as usize, &hw);
+        let mut engine = HighwayOccupancy::new(Arc::new(skeleton));
+        let mut oracle = Oracle::new(&topo);
+        let hw_nodes = hw.nodes();
+        let pick = |i: u16| hw_nodes[i as usize % hw_nodes.len()];
+        let num_groups = groups.len() as u32;
+
+        for (gi, (origin, steps, shuttle_end)) in groups.iter().enumerate() {
+            let g = GroupId(gi as u32);
+            let origin = pick(*origin);
+            // The hub self-claim, as group assembly opens with.
+            let expected = oracle.claim_route(&hw, origin, origin, g).map(|_| ());
+            prop_assert_eq!(engine.try_claim(origin, origin, g), expected);
+            assert_same_books(&engine, &oracle, num_groups);
+
+            for (si, &(kind, a, b)) in steps.iter().enumerate() {
+                let owned = oracle.nodes_of(g).to_vec();
+                let others: Vec<GroupId> =
+                    oracle.active_groups().into_iter().filter(|&h| h != g).collect();
+                let to = match decode_step(kind, a, b) {
+                    AssemblyStep::Anywhere(a) => Some(pick(a)),
+                    AssemblyStep::Owned(a) if !owned.is_empty() => {
+                        Some(owned[a as usize % owned.len()])
+                    }
+                    AssemblyStep::Adjacent(a, b) if !owned.is_empty() => {
+                        let q = owned[a as usize % owned.len()];
+                        let nbs: Vec<PhysQubit> = hw.highway_neighbors(q).collect();
+                        Some(nbs[b as usize % nbs.len()])
+                    }
+                    AssemblyStep::OtherClaims(a, b) if !others.is_empty() => {
+                        let h = others[a as usize % others.len()];
+                        let from = oracle.nodes_of(h)[0];
+                        let to = pick(b);
+                        let expected = oracle.claim_route(&hw, from, to, h).map(|_| ());
+                        prop_assert_eq!(engine.try_claim(from, to, h), expected);
+                        None
+                    }
+                    AssemblyStep::OtherReleases(a) if !others.is_empty() => {
+                        let h = others[a as usize % others.len()];
+                        engine.release(h);
+                        oracle.release(h);
+                        None
+                    }
+                    _ => Some(pick(a)),
+                };
+                if let Some(to) = to {
+                    let expected = oracle.claim_route(&hw, origin, to, g);
+                    if si % 2 == 0 {
+                        prop_assert_eq!(
+                            engine.try_claim(origin, to, g),
+                            expected.map(|_| ()),
+                            "claim diverged: {}->{} {}", origin, to, g
+                        );
+                    } else {
+                        prop_assert_eq!(
+                            engine.claim_route(origin, to, g),
+                            expected,
+                            "claim diverged: {}->{} {}", origin, to, g
+                        );
+                    }
+                }
+                assert_same_books(&engine, &oracle, num_groups);
             }
+
+            // Shuttle boundaries: sometimes the group is abandoned, and
+            // sometimes every claim is released.
+            match shuttle_end {
+                0 => {
+                    engine.release(g);
+                    oracle.release(g);
+                }
+                1 => {
+                    engine.release_all();
+                    oracle.release_all();
+                }
+                _ => {}
+            }
+            assert_same_books(&engine, &oracle, num_groups);
         }
     }
 }
 
 /// The engine's fast paths must engage on a real workload: a QFT compile
-/// resolves most claims without a search (one search per corridor-growth
-/// instead of one per candidate entrance, as the seed engine ran).
+/// resolves most claims without a search, and keeps one search per group
+/// across the group's own corridor growth (the seed engine ran one per
+/// candidate entrance; restarting on every growth ran about one per
+/// growing component).
 #[test]
 fn qft_compile_searches_drop_below_candidate_count() {
     let device = mech::DeviceSpec::square(6, 2, 2).build_artifacts();
@@ -278,6 +422,15 @@ fn qft_compile_searches_drop_below_candidate_count() {
         2 * r.claim_searches < seed_floor,
         "searches ({}) must stay well below the seed floor ({seed_floor})",
         r.claim_searches
+    );
+    // Group assembly claims from one origin (the hub entrance) per group,
+    // and the search survives the group's own growth: at most one search
+    // per executed group.
+    assert!(
+        r.claim_searches <= r.shuttle_stats.highway_gates,
+        "searches ({}) must not exceed the executed groups ({})",
+        r.claim_searches,
+        r.shuttle_stats.highway_gates
     );
     // Every claim attempt either ran a search or was skipped, and each
     // executed component plus each hub claim was one successful attempt.
