@@ -30,9 +30,10 @@ pub struct TargetComponent {
 }
 
 /// How the hub couples to the group.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum GroupKind {
     /// The hub is the control of every component as written.
+    #[default]
     Plain,
     /// Components are CNOTs *targeting* the hub; a Hadamard on the hub
     /// before and after the group turns each into a CZ controlled by the
@@ -42,7 +43,7 @@ pub enum GroupKind {
 
 /// A set of controlled gates sharing a hub qubit, executable concurrently
 /// over one GHZ state.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct MultiTargetGate {
     /// The shared control qubit.
     pub hub: Qubit,
@@ -65,13 +66,89 @@ impl MultiTargetGate {
     }
 }
 
-/// One bucket membership of an aggregable gate: which hub it can join, how
-/// it couples there, and which operand would receive the highway operation.
+/// A group formed by [`AggregationFront::carve`]: the bucket it was
+/// carved from and its size. [`AggregationFront::build`] lists its
+/// components, from the front it was carved from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct BucketSlot {
+pub struct CarvedGroup {
     hub: Qubit,
-    other: Qubit,
     kind: GroupKind,
+    /// How many groups the carve formed before this one.
+    rank: u32,
+    len: u32,
+    /// The front's revision at the carve.
+    revision: u64,
+}
+
+/// The index of bucket `(hub, kind)`: `2 * hub + kind`, so ascending
+/// indices visit hubs ascending, plain before conjugated.
+fn bucket_of(hub: Qubit, kind: GroupKind) -> u32 {
+    2 * hub.0 + kind as u32
+}
+
+/// One bucket entry: a tracked gate and the index of its other bucket,
+/// whose hub (`twin >> 1`) is the gate's other operand here.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    gate: GateId,
+    twin: u32,
+}
+
+/// `formed_at` of a bucket that formed no group in the current carve.
+const NOT_FORMED: u32 = u32::MAX;
+
+/// A stable counting sort: `out` = `items` by descending `size`, each at
+/// most `max`.
+fn sort_by_size(
+    items: &[u32],
+    size: impl Fn(u32) -> usize,
+    max: usize,
+    slots: &mut Vec<u32>,
+    out: &mut Vec<u32>,
+) {
+    // slots[i] = the next slot for an item of size `max - i`.
+    slots.clear();
+    slots.resize(max + 2, 0);
+    for &x in items {
+        slots[max - size(x) + 1] += 1;
+    }
+    for i in 1..slots.len() {
+        slots[i] += slots[i - 1];
+    }
+    out.clear();
+    out.resize(items.len(), 0);
+    for &x in items {
+        let slot = &mut slots[max - size(x)];
+        out[*slot as usize] = x;
+        *slot += 1;
+    }
+}
+
+/// The single-pair row of bucket `b` for gates whose other bucket is
+/// `twin`: three rows per hub, as a conjugated bucket's gates are CNOTs
+/// targeting the hub, whose other bucket is always plain.
+fn single_row(b: u32, twin: u32) -> usize {
+    let (hub, kind) = ((b >> 1) as usize, (b & 1) as usize);
+    debug_assert!(
+        kind == 0 || twin & 1 == 0,
+        "conjugated buckets pair with plain ones"
+    );
+    3 * hub + 2 * kind + (twin & 1) as usize
+}
+
+/// Bit `i` of the bitset that starts at word `row`.
+fn bit(bits: &[u64], row: usize, i: usize) -> bool {
+    bits[row + i / 64] >> (i % 64) & 1 == 1
+}
+
+/// Sets (`on`) or clears bit `i` of the bitset that starts at word `row`.
+fn set_bit(bits: &mut [u64], row: usize, i: usize, on: bool) {
+    let (w, mask) = (row + i / 64, 1u64 << (i % 64));
+    if on {
+        bits[w] |= mask;
+    } else {
+        bits[w] &= !mask;
+    }
 }
 
 /// Incrementally maintained aggregation candidates over a ready front.
@@ -84,49 +161,80 @@ struct BucketSlot {
 /// the buckets alive across rounds:
 ///
 /// * `AggregationFront::insert` / `AggregationFront::remove` maintain,
-///   per `(hub, kind)`, a **sorted** list of `(gate, other operand)`
-///   entries, plus one bitset of all aggregable and one of all
-///   non-aggregable two-qubit gates in the front;
-/// * [`AggregationFront::carve`] runs the greedy grouping over the live
-///   buckets without touching gates that never changed.
+///   per `(hub, kind)` bucket, a **sorted** list of its gates, plus one
+///   bitset of all aggregable and one of all non-aggregable two-qubit
+///   gates in the front;
+/// * for a gate that is the only tracked gate on its qubit pair (a
+///   *single-pair* gate), they also keep its other operand in a per-bucket
+///   qubit bitset, split by the kind of the gate's other bucket;
+/// * [`AggregationFront::carve`] runs the greedy grouping by counting:
+///   see the method for the availability rule that makes it exact.
 ///
 /// # Invariants
 ///
 /// * Every bucket is sorted ascending by [`GateId`] — the same order the
 ///   per-round rebuild used to produce by scanning the ready set in
-///   order — and leftovers come out ascending by bit order, so carving is
-///   **bit-identical** to [`aggregate_controlled`] on the same front.
+///   order — and leftovers come out ascending by bit order, so carving and
+///   building are **bit-identical** to [`aggregate_controlled`] on the
+///   same front.
 /// * A gate is a member of either zero buckets or exactly the buckets its
 ///   operands admit (its bit in `agg` says which); `insert` and `remove`
 ///   are idempotent, so suspending a gate (in-flight on the highway) and
 ///   later completing it is safe.
-/// * Carve scratch is reused: `assigned` is a bitset zeroed word by word
-///   at the start of each carve, `seen` is generation-stamped and
-///   component buffers are pooled. A carve reads only bucket entries
-///   (never `slots`) and skips buckets too small to form a group.
+/// * An aggregable gate is in `multi_gates` iff its qubit pair holds two
+///   or more tracked gates; otherwise its other operands are in `single`.
+///   `multi[b]` counts bucket `b`'s entries in `multi_gates`.
 #[derive(Debug, Clone)]
 pub struct AggregationFront {
-    /// slots[g] = bucket memberships of gate g (`None` for one-qubit,
+    /// slots[g] = the two buckets of gate g (`None` for one-qubit,
     /// measurement and non-controlled two-qubit gates).
-    slots: Vec<Option<[BucketSlot; 2]>>,
+    slots: Vec<Option<[u32; 2]>>,
     /// two_qubit[g] = whether g is any two-qubit gate.
     two_qubit: Vec<bool>,
-    plain: Vec<Vec<(GateId, Qubit)>>,
-    conjugated: Vec<Vec<(GateId, Qubit)>>,
+    /// Bucket `2 * hub + kind`, ascending by gate.
+    buckets: Vec<Vec<Entry>>,
+    /// Words per qubit bitset.
+    words: usize,
+    /// The qubit bitset at word `single_row(b, twin) * words` holds the
+    /// other operands of bucket `b`'s single-pair gates whose other bucket
+    /// has the kind of bucket `twin`.
+    single: Vec<u64>,
+    /// multi[b] = entries of bucket `b` on multi-gate pairs.
+    multi: Vec<u32>,
+    /// Tracked aggregable gates on multi-gate pairs.
+    multi_gates: GateSet,
     /// All tracked aggregable gates.
     agg: GateSet,
     /// All tracked non-aggregable two-qubit gates (SWAPs).
     other: GateSet,
     /// Bumped by every insert or remove that changes the tracked set.
     revision: u64,
-    // --- carve scratch ---
-    /// Hub visit order: `(usize::MAX - bucket len, hub, kind)`.
-    order: Vec<(usize, Qubit, GroupKind)>,
-    /// Gates placed in a group by the current carve.
-    assigned: GateSet,
+    // --- carve state, read back by `build` ---
+    /// Buckets to visit, largest first; then group ranks, largest first.
+    order: Vec<u32>,
+    /// Counting-sort input: the buckets to visit, ascending; then the
+    /// group ranks, hubs ascending.
+    unsorted: Vec<u32>,
+    /// Counting-sort slots.
+    size_slots: Vec<u32>,
+    /// The carved groups, reordered.
+    sorted: Vec<CarvedGroup>,
+    /// The hub bitsets (row = kind) of the buckets formed so far.
+    formed: Vec<u64>,
+    /// formed_at[b] = rank of the group bucket `b` formed.
+    formed_at: Vec<u32>,
+    /// pick_at[g] = 1 + rank of the group that picked
+    /// multi-gate-pair gate `g` (0 = unpicked).
+    pick_at: Vec<u32>,
+    /// The gates with a nonzero `pick_at`.
+    picks: Vec<GateId>,
+    /// Multi-gate-pair gates the visited bucket would pick.
+    tentative: Vec<GateId>,
+    /// seen[q] == stamp: the visited bucket already picked a gate on `q`.
     seen: Vec<u64>,
     stamp: u64,
-    comp_pool: Vec<Vec<TargetComponent>>,
+    /// Leftover scratch, one bit per gate, zeroed as it is read out.
+    rest: Vec<u64>,
 }
 
 impl AggregationFront {
@@ -134,9 +242,9 @@ impl AggregationFront {
     /// bucket memberships.
     pub(crate) fn new(circuit: &Circuit) -> Self {
         let nq = circuit.num_qubits() as usize;
+        let words = nq.div_ceil(64);
         let mut slots = Vec::with_capacity(circuit.len());
         let mut two_qubit = Vec::with_capacity(circuit.len());
-        let slot = |hub, other, kind| BucketSlot { hub, other, kind };
         for gate in circuit.gates() {
             two_qubit.push(gate.is_two_qubit());
             slots.push(match *gate {
@@ -145,7 +253,7 @@ impl AggregationFront {
                         TwoQubitKind::Cnot => GroupKind::Conjugated,
                         _ => GroupKind::Plain,
                     };
-                    Some([slot(a, b, GroupKind::Plain), slot(b, a, at_b)])
+                    Some([bucket_of(a, GroupKind::Plain), bucket_of(b, at_b)])
                 }
                 _ => None,
             });
@@ -153,24 +261,84 @@ impl AggregationFront {
         AggregationFront {
             slots,
             two_qubit,
-            plain: vec![Vec::new(); nq],
-            conjugated: vec![Vec::new(); nq],
+            buckets: vec![Vec::new(); 2 * nq],
+            words,
+            single: vec![0; 3 * nq * words],
+            multi: vec![0; 2 * nq],
+            multi_gates: GateSet::new(circuit.len()),
             agg: GateSet::new(circuit.len()),
             other: GateSet::new(circuit.len()),
             revision: 0,
             order: Vec::new(),
-            assigned: GateSet::new(circuit.len()),
+            unsorted: Vec::new(),
+            size_slots: Vec::new(),
+            sorted: Vec::new(),
+            formed: vec![0; 2 * words],
+            formed_at: vec![NOT_FORMED; 2 * nq],
+            pick_at: vec![0; circuit.len()],
+            picks: Vec::new(),
+            tentative: Vec::new(),
             seen: vec![0; nq],
             stamp: 0,
-            comp_pool: Vec::new(),
+            rest: vec![0; circuit.len().div_ceil(64)],
         }
     }
 
-    fn bucket_mut(&mut self, hub: Qubit, kind: GroupKind) -> &mut Vec<(GateId, Qubit)> {
-        match kind {
-            GroupKind::Plain => &mut self.plain[hub.index()],
-            GroupKind::Conjugated => &mut self.conjugated[hub.index()],
+    /// Adds (`on`) or drops the single-pair bits of a gate in buckets
+    /// `[b0, b1]`.
+    fn set_single(&mut self, [b0, b1]: [u32; 2], on: bool) {
+        for (b, twin) in [(b0, b1), (b1, b0)] {
+            let row = single_row(b, twin) * self.words;
+            set_bit(&mut self.single, row, (twin >> 1) as usize, on);
         }
+    }
+
+    /// Moves gate `g` (buckets `slots`) into (`on`) or out of the
+    /// multi-gate-pair set.
+    fn set_multi(&mut self, g: GateId, slots: [u32; 2], on: bool) {
+        if on {
+            self.multi_gates.insert(g);
+        } else {
+            self.multi_gates.remove(g);
+        }
+        for b in slots {
+            let count = &mut self.multi[b as usize];
+            *count = if on { *count + 1 } else { *count - 1 };
+        }
+    }
+
+    /// Whether pair `{a, b}` holds a single-pair gate: operand `b` in one
+    /// of hub `a`'s three single-pair rows.
+    fn single_on_pair(&self, a: usize, b: usize) -> bool {
+        (3 * a..3 * a + 3).any(|row| bit(&self.single, row * self.words, b))
+    }
+
+    /// Whether the qubit pair of buckets `slots`, which holds no
+    /// single-pair gate, holds tracked gates (so two or more). Both hubs
+    /// then have multi-gate-pair entries, which fronts without such pairs
+    /// never do, so those never read a bucket here.
+    fn multi_on_pair(&self, slots: [u32; 2]) -> bool {
+        let has_multi = |q: u32| self.multi[2 * q as usize] + self.multi[2 * q as usize + 1] > 0;
+        has_multi(slots[0] >> 1)
+            && has_multi(slots[1] >> 1)
+            && self.pair_gates(slots).next().is_some()
+    }
+
+    /// The tracked gates on the qubit pair of buckets `[b0, b1]`, read
+    /// from whichever operand's two buckets are shorter.
+    fn pair_gates(&self, [b0, b1]: [u32; 2]) -> impl Iterator<Item = GateId> + '_ {
+        let span = |q: u32| 2 * q as usize..2 * q as usize + 2;
+        let len = |q: u32| self.buckets[span(q)].iter().map(Vec::len).sum::<usize>();
+        let (hub, other) = if len(b0 >> 1) <= len(b1 >> 1) {
+            (b0 >> 1, b1 >> 1)
+        } else {
+            (b1 >> 1, b0 >> 1)
+        };
+        self.buckets[span(hub)]
+            .iter()
+            .flatten()
+            .filter(move |e| e.twin >> 1 == other)
+            .map(|e| e.gate)
     }
 
     /// Starts tracking a ready two-qubit gate. One-qubit gates and
@@ -179,10 +347,23 @@ impl AggregationFront {
         match self.slots[id.index()] {
             Some(slots) if self.agg.insert(id) => {
                 self.revision += 1;
-                for s in slots {
-                    let bucket = self.bucket_mut(s.hub, s.kind);
-                    let pos = bucket.partition_point(|&(g, _)| g < id);
-                    bucket.insert(pos, (id, s.other));
+                let (a, b) = ((slots[0] >> 1) as usize, (slots[1] >> 1) as usize);
+                if self.single_on_pair(a, b) {
+                    // The pair's one tracked gate gets company.
+                    let prev = self.pair_gates(slots).next().expect("pair is tracked");
+                    let prev_slots = self.slots[prev.index()].expect("tracked gate");
+                    self.set_single(prev_slots, false);
+                    self.set_multi(prev, prev_slots, true);
+                    self.set_multi(id, slots, true);
+                } else if self.multi_on_pair(slots) {
+                    self.set_multi(id, slots, true);
+                } else {
+                    self.set_single(slots, true);
+                }
+                for (b, twin) in [(slots[0], slots[1]), (slots[1], slots[0])] {
+                    let bucket = &mut self.buckets[b as usize];
+                    let pos = bucket.partition_point(|e| e.gate < id);
+                    bucket.insert(pos, Entry { gate: id, twin });
                 }
             }
             None if self.two_qubit[id.index()] => {
@@ -198,11 +379,25 @@ impl AggregationFront {
         match self.slots[id.index()] {
             Some(slots) if self.agg.remove(id) => {
                 self.revision += 1;
-                for s in slots {
-                    let bucket = self.bucket_mut(s.hub, s.kind);
-                    let pos = bucket.partition_point(|&(g, _)| g < id);
-                    debug_assert_eq!(bucket[pos].0, id, "gate {id:?} missing from bucket");
+                for b in slots {
+                    let bucket = &mut self.buckets[b as usize];
+                    let pos = bucket.partition_point(|e| e.gate < id);
+                    debug_assert_eq!(bucket[pos].gate, id, "gate {id:?} missing from bucket");
                     bucket.remove(pos);
+                }
+                if self.multi_gates.contains(id) {
+                    self.set_multi(id, slots, false);
+                    let mut rest = self.pair_gates(slots);
+                    let (first, second) = (rest.next(), rest.next());
+                    drop(rest);
+                    if let (Some(last), None) = (first, second) {
+                        // The pair is down to one tracked gate.
+                        let last_slots = self.slots[last.index()].expect("tracked gate");
+                        self.set_multi(last, last_slots, false);
+                        self.set_single(last_slots, true);
+                    }
+                } else {
+                    self.set_single(slots, false);
                 }
             }
             None => self.revision += u64::from(self.other.remove(id)),
@@ -218,96 +413,253 @@ impl AggregationFront {
     }
 
     /// Greedily groups the tracked gates into multi-target gates, exactly
-    /// as [`aggregate_controlled`] would on the same front: groups come out
-    /// largest first, `leftovers` holds every tracked two-qubit gate that
-    /// joined no group, ascending. Groups smaller than `min_components`
-    /// (floored at 2) are not formed; their gates stay leftovers.
+    /// as [`aggregate_controlled`] would on the same front: `groups` come
+    /// out largest first, `leftovers` holds every tracked two-qubit gate
+    /// that joined no group, ascending. Groups smaller than
+    /// `min_components` (floored at 2) are not formed; their gates stay
+    /// leftovers. [`AggregationFront::build`] lists a group's components.
     ///
-    /// `groups` from the previous round may be passed back in; their
-    /// component buffers are recycled, so steady-state carving allocates
-    /// no component buffers.
+    /// The greedy visits buckets from the most to the least populous and
+    /// forms each one's group from its still-unassigned gates. A
+    /// single-pair gate belongs to exactly two buckets, so when one of
+    /// them is visited it is still unassigned iff its other bucket has
+    /// not formed a group yet. A bucket's group size is therefore a few
+    /// popcounts of its single-pair bitsets against the bitsets of the
+    /// hubs formed so far. A bucket that holds gates on a multi-gate pair
+    /// is walked entry by entry instead, keeping one gate per other
+    /// operand, and records which of those gates it picks.
     pub fn carve(
         &mut self,
         min_components: usize,
-        groups: &mut Vec<MultiTargetGate>,
+        groups: &mut Vec<CarvedGroup>,
         leftovers: &mut Vec<GateId>,
     ) {
         let min = min_components.max(2);
-        for mut g in groups.drain(..) {
-            g.components.clear();
-            self.comp_pool.push(g.components);
-        }
+        groups.clear();
         leftovers.clear();
-        self.assigned.clear();
-
-        // Greedy by current bucket size: visit hubs from the most to the
-        // least populous and carve each one's group from the
-        // still-unassigned gates. (A single pass — re-counting after every
-        // pick would be quadratic on all-commuting fronts.) A bucket
-        // smaller than `min` cannot form a group, so it is not visited.
-        // The keys are unique, so the unstable sort is deterministic.
-        self.order.clear();
-        for (q, (p, c)) in self.plain.iter().zip(&self.conjugated).enumerate() {
-            for (bucket, kind) in [(p, GroupKind::Plain), (c, GroupKind::Conjugated)] {
-                if bucket.len() >= min {
-                    self.order
-                        .push((usize::MAX - bucket.len(), Qubit(q as u32), kind));
-                }
+        // Reset the last carve's state: its picks and formed buckets.
+        for g in self.picks.drain(..) {
+            self.pick_at[g.index()] = 0;
+        }
+        let w = self.words;
+        for (i, word) in self.formed.iter_mut().enumerate() {
+            for hub in set_bits(i % w, [std::mem::take(word)].into_iter()) {
+                self.formed_at[2 * hub.index() + i / w] = NOT_FORMED;
             }
         }
-        self.order.sort_unstable();
+        self.sort_visit_order(min);
 
         let Self {
-            plain,
-            conjugated,
+            buckets,
+            single,
+            multi,
+            multi_gates,
+            revision,
             order,
-            assigned,
+            formed,
+            formed_at,
+            pick_at,
+            picks,
+            tentative,
             seen,
             stamp,
-            comp_pool,
             ..
         } = self;
-        for &(_, hub, kind) in order.iter() {
-            let bucket = match kind {
-                GroupKind::Plain => &plain[hub.index()],
-                GroupKind::Conjugated => &conjugated[hub.index()],
+        let mut formed_entries = 0;
+        for &b in order.iter() {
+            let b = b as usize;
+            let len = if multi[b] == 0 {
+                // A plain bucket's two rows pair with both kinds' formed
+                // hubs, a conjugated bucket's one row with the plain ones.
+                let row = single_row(b as u32, 0) * w;
+                let rows = if b & 1 == 0 { 2 * w } else { w };
+                (single[row..row + rows].iter().zip(formed.iter()))
+                    .map(|(&s, &f)| (s & !f).count_ones() as usize)
+                    .sum()
+            } else {
+                // A fresh seen-stamp per walk: a multi-gate pair keeps one
+                // component.
+                *stamp += 1;
+                tentative.clear();
+                let mut len = 0;
+                for e in &buckets[b] {
+                    if !multi_gates.contains(e.gate) {
+                        len += usize::from(formed_at[e.twin as usize] == NOT_FORMED);
+                    } else if pick_at[e.gate.index()] == 0 && seen[(e.twin >> 1) as usize] != *stamp
+                    {
+                        seen[(e.twin >> 1) as usize] = *stamp;
+                        tentative.push(e.gate);
+                        len += 1;
+                    }
+                }
+                len
             };
-            // A fresh seen-stamp per group: duplicate pairs keep one
-            // component.
-            *stamp += 1;
-            let group_stamp = *stamp;
-            let mut comps = comp_pool.pop().unwrap_or_default();
-            debug_assert!(comps.is_empty());
-            for &(gate, other) in bucket {
-                if assigned.contains(gate) || seen[other.index()] == group_stamp {
+            if len < min {
+                continue;
+            }
+            formed_entries += buckets[b].len();
+            let rank = groups.len() as u32;
+            formed_at[b] = rank;
+            set_bit(formed, (b & 1) * w, b >> 1, true);
+            if multi[b] != 0 {
+                for &g in tentative.iter() {
+                    pick_at[g.index()] = rank + 1;
+                    picks.push(g);
+                }
+            }
+            groups.push(CarvedGroup {
+                hub: Qubit((b >> 1) as u32),
+                kind: if b & 1 == 0 {
+                    GroupKind::Plain
+                } else {
+                    GroupKind::Conjugated
+                },
+                rank,
+                len: len as u32,
+                revision: *revision,
+            });
+        }
+        self.sort_groups(groups);
+
+        // Leftovers: every tracked gate that joined no group, ascending by
+        // bit order. Read whichever side of the carve is cheaper: the
+        // formed buckets, whose single-pair gates all joined a group (theirs
+        // or their other bucket's), or the rest, whose single-pair gates
+        // joined none iff their other bucket formed none either, at the
+        // price of passing every bucket. `rest` collects the joined gates of
+        // the one or the leftover gates of the other; multi-gate-pair gates
+        // go by their picks.
+        let rest_entries = 2 * self.agg.len() - formed_entries;
+        let read_formed = formed_entries <= rest_entries + self.buckets.len();
+        if read_formed {
+            for g in groups.iter() {
+                for e in &self.buckets[bucket_of(g.hub, g.kind) as usize] {
+                    if !self.multi_gates.contains(e.gate) {
+                        set_bit(&mut self.rest, 0, e.gate.index(), true);
+                    }
+                }
+            }
+            for g in &self.picks {
+                set_bit(&mut self.rest, 0, g.index(), true);
+            }
+        } else {
+            for (b, bucket) in self.buckets.iter().enumerate() {
+                if bucket.is_empty() || self.formed_at[b] != NOT_FORMED {
                     continue;
                 }
-                seen[other.index()] = group_stamp;
-                comps.push(TargetComponent { gate, other });
-            }
-            if comps.len() >= min {
-                for c in &comps {
-                    assigned.insert(c.gate);
+                for e in bucket {
+                    if self.formed_at[e.twin as usize] == NOT_FORMED
+                        && !self.multi_gates.contains(e.gate)
+                    {
+                        set_bit(&mut self.rest, 0, e.gate.index(), true);
+                    }
                 }
-                groups.push(MultiTargetGate {
-                    hub,
-                    kind,
-                    components: comps,
-                });
-            } else {
-                comps.clear();
-                comp_pool.push(comps);
+            }
+            for g in self.multi_gates.iter() {
+                if self.pick_at[g.index()] == 0 {
+                    set_bit(&mut self.rest, 0, g.index(), true);
+                }
             }
         }
+        // Joined gates are tracked ones, so `agg ^ rest` drops them from
+        // `agg`. Words below both sets' lowest members are zero.
+        let agg_mask = if read_formed { u64::MAX } else { 0 };
+        let first = self.agg.first_word().min(self.other.first_word());
+        let words = (self.rest[first..].iter_mut())
+            .zip(&self.agg.words[first..])
+            .zip(&self.other.words[first..])
+            .map(|((r, &a), &o)| ((a & agg_mask) ^ std::mem::take(r)) | o);
+        leftovers.extend(set_bits(first, words));
+    }
 
-        groups.sort_by(|a, b| b.len().cmp(&a.len()).then(a.hub.cmp(&b.hub)));
+    /// Fills `order` with the buckets of at least `min` gates, by
+    /// descending size and ascending index.
+    fn sort_visit_order(&mut self, min: usize) {
+        self.unsorted.clear();
+        let mut max = 0;
+        for (b, bucket) in self.buckets.iter().enumerate() {
+            if bucket.len() >= min {
+                self.unsorted.push(b as u32);
+                max = max.max(bucket.len());
+            }
+        }
+        let buckets = &self.buckets;
+        sort_by_size(
+            &self.unsorted,
+            |b| buckets[b as usize].len(),
+            max,
+            &mut self.size_slots,
+            &mut self.order,
+        );
+    }
 
-        // Leftovers: the unassigned aggregable gates and every
-        // non-aggregable one, ascending by bit order.
-        let words = (self.agg.words.iter().zip(&self.assigned.words))
-            .zip(&self.other.words)
-            .map(|((&a, &s), &o)| (a & !s) | o);
-        leftovers.extend(set_bits(0, words));
+    /// Reorders `groups` (by rank, as formed) by descending size,
+    /// ascending hub, and rank on ties, as the greedy ranks them: the
+    /// ranks listed by hub, then sorted by size.
+    fn sort_groups(&mut self, groups: &mut Vec<CarvedGroup>) {
+        if groups.len() < 2 {
+            return;
+        }
+        self.unsorted.clear();
+        let w = self.words;
+        for word in 0..w {
+            let hubs = self.formed[word] | self.formed[w + word];
+            for hub in set_bits(word, [hubs].into_iter()) {
+                let b = 2 * hub.index();
+                let (plain, conjugated) = (self.formed_at[b], self.formed_at[b + 1]);
+                self.unsorted.push(plain.min(conjugated));
+                if plain.max(conjugated) != NOT_FORMED {
+                    self.unsorted.push(plain.max(conjugated));
+                }
+            }
+        }
+        let max = groups.iter().map(|g| g.len as usize).max().unwrap_or(0);
+        sort_by_size(
+            &self.unsorted,
+            |rank| groups[rank as usize].len as usize,
+            max,
+            &mut self.size_slots,
+            &mut self.order,
+        );
+        self.sorted.clear();
+        self.sorted
+            .extend(self.order.iter().map(|&rank| groups[rank as usize]));
+        std::mem::swap(groups, &mut self.sorted);
+    }
+
+    /// Lists the components of a group of the last carve into `out`,
+    /// ascending by gate: the bucket's single-pair gates whose other bucket
+    /// formed later or not at all, and the multi-gate-pair gates the group
+    /// picked.
+    ///
+    /// # Panics
+    ///
+    /// In debug builds, if the front changed since `group` was carved.
+    pub fn build(&self, group: &CarvedGroup, out: &mut MultiTargetGate) {
+        debug_assert_eq!(
+            group.revision, self.revision,
+            "group built from a stale carve"
+        );
+        out.hub = group.hub;
+        out.kind = group.kind;
+        out.components.clear();
+        let bucket = &self.buckets[bucket_of(group.hub, group.kind) as usize];
+        out.components.extend(
+            bucket
+                .iter()
+                .filter(|e| {
+                    if self.multi_gates.contains(e.gate) {
+                        self.pick_at[e.gate.index()] == group.rank + 1
+                    } else {
+                        self.formed_at[e.twin as usize] > group.rank
+                    }
+                })
+                .map(|e| TargetComponent {
+                    gate: e.gate,
+                    other: Qubit(e.twin >> 1),
+                }),
+        );
+        debug_assert_eq!(out.len(), group.len as usize);
     }
 }
 
@@ -321,11 +673,12 @@ impl AggregationFront {
 /// measurements in `ready` are always returned in the leftovers.
 ///
 /// This is the one-shot convenience form of [`AggregationFront`]: it builds
-/// a front from `ready`, carves once and returns the result. `ready` is
-/// treated as a set — grouping is independent of its order (candidates are
-/// always considered ascending by [`GateId`]). Callers that aggregate over
-/// an evolving front every round should maintain an [`AggregationFront`]
-/// incrementally instead.
+/// a front from `ready`, carves once, builds every group and returns the
+/// result. `ready` is treated as a set — grouping is independent of its
+/// order (candidates are always considered ascending by [`GateId`]) and a
+/// repeated id counts once. Callers that aggregate over an evolving front
+/// every round should maintain an [`AggregationFront`] incrementally
+/// instead.
 ///
 /// # Example
 ///
@@ -361,11 +714,20 @@ pub fn aggregate_controlled(
             passthrough.push(id);
         }
     }
-    let mut groups = Vec::new();
+    let mut carved = Vec::new();
     let mut leftovers = Vec::new();
-    front.carve(min_components, &mut groups, &mut leftovers);
+    front.carve(min_components, &mut carved, &mut leftovers);
+    let groups = carved
+        .iter()
+        .map(|g| {
+            let mut group = MultiTargetGate::default();
+            front.build(g, &mut group);
+            group
+        })
+        .collect();
     leftovers.extend(passthrough);
     leftovers.sort_unstable();
+    leftovers.dedup();
     (groups, leftovers)
 }
 
@@ -476,13 +838,7 @@ mod tests {
     /// A deterministic mixed-kind program over `nq` qubits.
     fn mixed_program(nq: u32, gates: usize, seed: u64) -> Circuit {
         let mut c = Circuit::new(nq);
-        let mut state = seed.wrapping_mul(0x9e3779b97f4a7c15).max(1);
-        let mut next = |m: u64| {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state % m
-        };
+        let mut next = xorshift(seed);
         for _ in 0..gates {
             let a = Qubit(next(u64::from(nq)) as u32);
             let mut b = Qubit(next(u64::from(nq)) as u32);
@@ -507,6 +863,34 @@ mod tests {
         c
     }
 
+    /// Carves `front` and builds every group, as `aggregate_controlled`
+    /// does.
+    fn carve_all(front: &mut AggregationFront, min: usize) -> (Vec<MultiTargetGate>, Vec<GateId>) {
+        let mut carved = Vec::new();
+        let mut leftovers = Vec::new();
+        front.carve(min, &mut carved, &mut leftovers);
+        let groups = carved
+            .iter()
+            .map(|g| {
+                let mut group = MultiTargetGate::default();
+                front.build(g, &mut group);
+                group
+            })
+            .collect();
+        (groups, leftovers)
+    }
+
+    /// A deterministic xorshift stream: `next(m)` is uniform-ish in `0..m`.
+    fn xorshift(seed: u64) -> impl FnMut(u64) -> u64 {
+        let mut state = seed.wrapping_mul(0x9e3779b97f4a7c15).max(1);
+        move |m| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % m
+        }
+    }
+
     #[test]
     fn one_shot_wrapper_matches_oracle() {
         for seed in 0..6 {
@@ -520,60 +904,133 @@ mod tests {
         }
     }
 
+    /// Drives a front through interleaved insert/remove cycles (ready,
+    /// suspended, completed, re-carved) and after every carve compares the
+    /// built groups and the leftovers against the oracle rebuilt from
+    /// scratch on the same live set.
+    fn churn_matches_oracle(c: &Circuit, rounds: usize, seed: u64) {
+        let mut front = AggregationFront::new(c);
+        let mut live: Vec<GateId> = Vec::new();
+        let mut next = xorshift(0xdeadbeef ^ seed);
+        for round in 0..rounds {
+            // Insert a few random gates (idempotently), remove a few.
+            for _ in 0..5 {
+                let id = GateId(next(c.len() as u64) as u32);
+                front.insert(id);
+                front.insert(id); // idempotent
+                if !live.contains(&id) {
+                    live.push(id);
+                }
+            }
+            for _ in 0..2 {
+                if live.is_empty() {
+                    break;
+                }
+                let id = live.swap_remove(next(live.len() as u64) as usize);
+                front.remove(id);
+                front.remove(id); // idempotent
+            }
+            let min = 2 + round % 3;
+            let (groups, leftovers) = carve_all(&mut front, min);
+            // The oracle's bucket order follows its input order; the
+            // compiler always offered the ready set ascending, which is
+            // the order the front maintains.
+            let mut live_sorted = live.clone();
+            live_sorted.sort_unstable();
+            let (want_groups, want_rest) = aggregate_oracle(c, &live_sorted, min);
+            let at = format!(
+                "{} qubits, {} gates, round {round}",
+                c.num_qubits(),
+                c.len()
+            );
+            assert_eq!(tracked(&front), live.len(), "{at}");
+            assert_eq!(groups, want_groups, "groups diverged: {at}");
+            assert_eq!(leftovers, want_rest, "leftovers diverged: {at}");
+        }
+    }
+
     #[test]
     fn incremental_front_matches_fresh_rebuild_under_churn() {
-        // Drive a front through interleaved insert/remove cycles (ready,
-        // suspended, completed, re-carved) and after every carve compare
-        // against the oracle rebuilt from scratch on the same live set.
-        // Program sizes straddle the 64-gate words of the front's bitsets.
+        // Ten qubits make pairs with several tracked gates common, across
+        // every bucket pairing of the mixed kinds. Program sizes straddle
+        // the 64-gate words of the front's gate bitsets.
         for (size, seed) in [(63, 3), (64, 5), (65, 7), (120, 9), (129, 11), (301, 13)] {
-            let c = mixed_program(10, size, seed);
-            let mut front = AggregationFront::new(&c);
-            let mut live: Vec<GateId> = Vec::new();
-            let mut groups = Vec::new();
-            let mut leftovers = Vec::new();
-            let mut state = 0xdeadbeefu64 ^ seed;
-            let mut next = |m: u64| {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                state % m
-            };
-            for round in 0..size / 3 {
-                // Insert a few random gates (idempotently), remove a few.
-                for _ in 0..5 {
-                    let id = GateId(next(c.len() as u64) as u32);
-                    front.insert(id);
-                    front.insert(id); // idempotent
-                    if !live.contains(&id) {
-                        live.push(id);
-                    }
+            churn_matches_oracle(&mixed_program(10, size, seed), size / 3, seed);
+        }
+    }
+
+    #[test]
+    fn wide_fronts_match_oracle_across_hub_bitset_words() {
+        // Widths around the 64-qubit words of the per-hub bitsets: the
+        // last qubit of one word and the first of the next are hubs and
+        // other operands alike.
+        for (nq, seed) in [(63, 17), (64, 19), (65, 23), (129, 29)] {
+            let c = mixed_program(nq, 6 * nq as usize, seed);
+            churn_matches_oracle(&c, 2 * nq as usize, seed);
+        }
+    }
+
+    #[test]
+    fn dag_driven_fronts_match_oracle() {
+        // A compiler-shaped front: readiness comes from a real schedule,
+        // each step suspends some ready gates (in flight on the highway)
+        // and completes some ready or suspended ones, unlocking
+        // successors.
+        use crate::benchmarks::{qaoa_maxcut, qft, random_circuit};
+        use crate::dag::CommutationDag;
+        let programs = [
+            qaoa_maxcut(70, 2, 5),
+            qft(66),
+            random_circuit(65, 900, 3),
+            random_circuit(12, 300, 4),
+        ];
+        for (p, c) in programs.iter().enumerate() {
+            let dag = CommutationDag::new(c);
+            let mut sched = dag.schedule();
+            sched.attach_aggregation(c);
+            let mut next = xorshift(p as u64 + 41);
+            let mut suspended: Vec<GateId> = Vec::new();
+            let mut step = 0;
+            loop {
+                while sched.pop_ready_one_qubit().is_some() {}
+                if sched.is_finished() {
+                    break;
                 }
-                for _ in 0..2 {
-                    if live.is_empty() {
-                        break;
-                    }
-                    let id = live.swap_remove(next(live.len() as u64) as usize);
-                    front.remove(id);
-                    front.remove(id); // idempotent
-                }
-                let min = 2 + round % 3;
-                front.carve(min, &mut groups, &mut leftovers);
-                // The oracle's bucket order follows its input order; the
-                // compiler always offered the ready set ascending, which
-                // is the order the front maintains.
-                let mut live_sorted = live.clone();
-                live_sorted.sort_unstable();
-                let (want_groups, want_rest) = aggregate_oracle(&c, &live_sorted, min);
-                assert_eq!(tracked(&front), live.len(), "size {size} round {round}");
+                let min = 2 + step % 4;
+                let live: Vec<GateId> = sched
+                    .ready_two_qubit()
+                    .filter(|g| !suspended.contains(g))
+                    .collect();
+                let front = sched.aggregation_front_mut().expect("attached");
+                let (groups, leftovers) = carve_all(front, min);
+                let (want_groups, want_rest) = aggregate_oracle(c, &live, min);
                 assert_eq!(
                     groups, want_groups,
-                    "groups diverged: size {size} round {round}"
+                    "groups diverged: program {p} step {step}"
                 );
                 assert_eq!(
                     leftovers, want_rest,
-                    "leftovers diverged: size {size} round {round}"
+                    "leftovers diverged: program {p} step {step}"
                 );
+                // Suspend a few live gates, then complete a few ready ones
+                // (suspended ones included).
+                for _ in 0..3 {
+                    if let Some(&g) = live.get(next(live.len().max(1) as u64) as usize) {
+                        if !suspended.contains(&g) {
+                            sched.suspend_from_aggregation(g);
+                            suspended.push(g);
+                        }
+                    }
+                }
+                let ready: Vec<GateId> = sched.ready_two_qubit().collect();
+                for _ in 0..1 + next(6) {
+                    let g = ready[next(ready.len() as u64) as usize];
+                    if sched.is_gate_ready(g) {
+                        sched.complete(g);
+                        suspended.retain(|&s| s != g);
+                    }
+                }
+                step += 1;
             }
         }
     }
@@ -697,6 +1154,12 @@ mod tests {
         let (groups, rest) = aggregate_controlled(&c, &ready, 2);
         assert!(groups.is_empty());
         assert_eq!(rest, vec![GateId(0)]);
+        // `ready` is a set: a repeated id comes back once, whatever its
+        // arity.
+        let ready = vec![GateId(0), GateId(1), GateId(0), GateId(1)];
+        let (groups, rest) = aggregate_controlled(&c, &ready, 2);
+        assert!(groups.is_empty());
+        assert_eq!(rest, vec![GateId(0), GateId(1)]);
     }
 
     #[test]

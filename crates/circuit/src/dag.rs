@@ -93,10 +93,18 @@ impl GateSet {
         Some(GateId((self.low * 64) as u32 + w.trailing_zeros()))
     }
 
-    /// Empties the set, word by word (the next insert resets `low`).
-    pub(crate) fn clear(&mut self) {
-        self.words.fill(0);
-        self.len = 0;
+    /// Number of members.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// The index of the lowest nonzero word (the word count if empty).
+    pub(crate) fn first_word(&self) -> usize {
+        if self.len == 0 {
+            self.words.len()
+        } else {
+            self.low
+        }
     }
 
     /// The members, ascending; stops once all `len` are out.

@@ -37,7 +37,8 @@ mod qubit;
 pub mod benchmarks;
 
 pub use aggregate::{
-    aggregate_controlled, AggregationFront, GroupKind, MultiTargetGate, TargetComponent,
+    aggregate_controlled, AggregationFront, CarvedGroup, GroupKind, MultiTargetGate,
+    TargetComponent,
 };
 pub use circuit::{Circuit, CircuitError, CircuitStats};
 pub use commute::commutes;

@@ -38,8 +38,8 @@ use std::sync::Arc;
 use mech_chiplet::fault::{self, FaultSite};
 use mech_chiplet::{PhysCircuit, PhysQubit, QubitSet, SemGate1, SemGate2, StampSet};
 use mech_circuit::{
-    Circuit, CommutationDag, DagSchedule, Gate, GateId, GroupKind, MultiTargetGate, OneQubitGate,
-    Qubit, TwoQubitKind,
+    CarvedGroup, Circuit, CommutationDag, DagSchedule, Gate, GateId, GroupKind, MultiTargetGate,
+    OneQubitGate, Qubit, TwoQubitKind,
 };
 use mech_highway::{
     prepare_ghz_chain, prepare_ghz_with, ActiveGroup, EntranceOption, GhzScratch, ShuttleState,
@@ -196,9 +196,11 @@ pub struct CompileSession<'a> {
     /// hashing).
     pending: Vec<bool>,
     regular_gates: u64,
-    /// Highway-phase output: carved multi-target gates (buffers recycled
-    /// through the aggregation front).
-    groups: Vec<MultiTargetGate>,
+    /// Highway-phase output: the carved groups, largest first.
+    groups: Vec<CarvedGroup>,
+    /// Highway-phase scratch: the group being tried, built from its
+    /// carved header.
+    group: MultiTargetGate,
     /// Highway-phase output: the round's regular two-qubit gates.
     regular: Vec<GateId>,
     /// The aggregation-front revision `groups` and `regular` were carved
@@ -306,6 +308,7 @@ impl<'a> CompileSession<'a> {
             pending: vec![false; circuit.len()],
             regular_gates: 0,
             groups: Vec::new(),
+            group: MultiTargetGate::default(),
             regular: Vec::new(),
             carved_at: None,
             comps: Vec::new(),
@@ -499,14 +502,23 @@ impl<'a> CompileSession<'a> {
         }
         // Stop attempting groups after a few consecutive congestion
         // failures: with the largest groups first, further ones would
-        // mostly fail too, and they retry next shuttle anyway.
+        // mostly fail too, and they retry next shuttle anyway. Each group
+        // is built just before its try, from the front it was carved from:
+        // nothing in the loop reads the front, so executed components leave
+        // it only after the loop.
         let groups = std::mem::take(&mut self.groups);
+        let mut group = std::mem::take(&mut self.group);
+        let executed_from = self.pending_close.len();
         let mut consecutive_failures = 0u32;
-        for group in &groups {
+        for carved in &groups {
             if consecutive_failures >= 3 {
                 break;
             }
-            let executed = self.try_group(group);
+            self.sched
+                .aggregation_front_mut()
+                .expect("session attaches an aggregation front")
+                .build(carved, &mut group);
+            let executed = self.try_group(&group);
             if executed.is_empty() {
                 consecutive_failures += 1;
             } else {
@@ -515,13 +527,16 @@ impl<'a> CompileSession<'a> {
                 for id in executed {
                     self.pending[id.index()] = true;
                     self.pending_close.push(id);
-                    // In flight on the highway: out of the aggregation
-                    // front until the close retires it.
-                    self.sched.suspend_from_aggregation(id);
                 }
             }
         }
+        // In flight on the highway: out of the aggregation front until the
+        // close retires them.
+        for &id in &self.pending_close[executed_from..] {
+            self.sched.suspend_from_aggregation(id);
+        }
         self.groups = groups;
+        self.group = group;
         progressed
     }
 

@@ -183,6 +183,45 @@ fn golden_regular_heavy_6x6_2x2() {
     );
 }
 
+#[test]
+fn golden_multi_gate_pairs_at_min_components_2_and_5() {
+    // Random programs are the fronts where one qubit pair holds several
+    // ready controlled gates, so the aggregation carve picks among them
+    // per group; pinning them at a threshold below and above the default
+    // covers groups of every size the carve can form.
+    let dev = DeviceSpec::square(6, 2, 2).build_artifacts();
+    let n = dev.num_data_qubits();
+    let cases = [
+        (
+            "rand_dense",
+            programs::rand_dense(n),
+            2,
+            GOLDEN_RAND_DENSE_MIN2,
+        ),
+        (
+            "rand_dense",
+            programs::rand_dense(n),
+            5,
+            GOLDEN_RAND_DENSE_MIN5,
+        ),
+        ("random", programs::golden_random(n), 2, GOLDEN_RANDOM_MIN2),
+        ("random", programs::golden_random(n), 5, GOLDEN_RANDOM_MIN5),
+    ];
+    for (name, program, min_components, golden) in cases {
+        let config = CompilerConfig {
+            min_components,
+            ..CompilerConfig::default()
+        };
+        check_with(
+            &format!("{name}_6x6_2x2_min{min_components}"),
+            &dev,
+            &program,
+            config,
+            golden,
+        );
+    }
+}
+
 /// The SABRE baseline's fingerprint: depth and operation counts of the
 /// routed circuit. The baseline walks the same `DagSchedule` ready front
 /// as MECH, so these pin that front's iteration order from the other
@@ -269,3 +308,10 @@ const GOLDEN_REGULAR_HEAVY: &str = "depth=4078 on=14589 cross=1990 meas=108 one=
 const GOLDEN_BASELINE_QFT: &str = "depth=8112 on=25527 cross=2796 meas=108 one=108";
 const GOLDEN_BASELINE_QAOA: &str = "depth=3459 on=11818 cross=1772 meas=108 one=216";
 const GOLDEN_BASELINE_RAND_SPARSE: &str = "depth=434 on=2760 cross=460 meas=108 one=188";
+
+// Random programs at a non-default aggregation threshold, captured at
+// commit 9e92ac9, before the aggregation carve counted instead of scanning.
+const GOLDEN_RAND_DENSE_MIN2: &str = "depth=3461 on=11536 cross=1382 meas=2392 one=7001 regular=284 shuttles=96 hwgates=195 comps=480 trace=(16,4,9,29)(176,3,7,26)(253,2,7,23)(270,3,6,25)(317,1,4,19)(425,2,5,22)(457,2,4,23)(470,1,4,14)(488,2,6,20)(515,4,8,30)(577,1,4,24)(590,2,4,22)(630,1,3,15)(645,2,5,25)(658,2,4,24)(701,2,5,22)(730,5,7,27)(750,2,6,26)(787,1,4,20)(804,3,6,22)(883,3,6,19)(919,2,5,23)(972,4,8,26)(1005,2,4,24)(1087,3,9,25)(1101,2,5,22)(1151,2,5,22)(1164,3,6,23)(1238,1,4,19)(1326,2,7,20)(1376,2,3,16)(1447,3,6,20)(1499,4,6,26)(1612,4,8,29)(1633,2,5,26)(1671,1,4,17)(1685,3,7,24)(1698,1,3,16)(1745,4,6,26)(1764,2,5,18)(1848,2,7,26)(1861,1,2,15)(1874,2,4,25)(1887,1,2,13)(1904,2,7,26)(1918,1,6,22)(1933,2,5,18)(1947,3,5,24)(1986,2,9,26)(2057,3,6,25)(2078,1,4,22)(2091,2,5,28)(2105,1,5,19)(2147,1,3,18)(2160,2,3,18)(2177,2,4,23)(2209,1,6,19)(2237,2,6,22)(2251,1,4,14)(2266,1,3,15)(2279,1,3,15)(2292,1,3,18)(2320,2,4,27)(2361,1,4,20)(2374,2,3,23)(2391,2,8,24)(2458,4,10,25)(2495,2,9,24)(2512,1,6,23)(2525,2,6,27)(2554,1,3,11)(2567,2,4,22)(2584,2,4,18)(2659,2,3,16)(2672,2,4,19)(2686,2,4,15)(2731,3,4,22)(2764,2,3,21)(2836,4,6,26)(2856,2,4,21)(2955,2,6,20)(3003,2,5,25)(3017,2,6,24)(3061,1,4,20)(3077,3,6,27)(3090,1,5,24)(3123,1,5,20)(3175,1,3,17)(3191,3,6,23)(3204,3,6,24)(3250,1,2,12)(3288,2,5,19)(3301,2,3,20)(3353,1,3,10)(3419,1,2,12)(3432,1,2,19)";
+const GOLDEN_RAND_DENSE_MIN5: &str = "depth=5366 on=15412 cross=2156 meas=394 one=1360 regular=680 shuttles=9 hwgates=25 comps=84 trace=(1014,2,6,25)(2172,4,13,27)(2846,3,10,29)(3302,3,11,28)(3615,2,10,28)(3697,3,10,24)(4110,4,9,30)(4738,2,7,21)(4964,2,8,26)";
+const GOLDEN_RANDOM_MIN2: &str = "depth=1110 on=2843 cross=223 meas=586 one=1745 regular=85 shuttles=37 hwgates=59 comps=143 trace=(20,2,7,12)(57,1,4,9)(89,1,4,9)(104,2,6,25)(121,2,4,9)(150,2,4,12)(165,2,4,11)(180,1,3,9)(206,1,3,10)(225,1,3,10)(241,1,2,10)(257,3,4,12)(277,4,6,13)(348,3,5,12)(362,1,2,10)(393,2,5,14)(405,1,4,10)(496,1,3,11)(519,2,4,12)(536,1,3,6)(549,2,4,27)(677,2,3,12)(717,2,5,26)(800,1,4,12)(814,1,4,10)(833,1,3,10)(846,1,4,14)(860,1,3,10)(880,3,7,13)(894,1,3,12)(957,1,5,10)(974,1,3,9)(987,1,2,8)(1002,2,4,12)(1045,2,3,24)(1060,1,2,10)(1077,2,4,24)";
+const GOLDEN_RANDOM_MIN5: &str = "depth=1588 on=3436 cross=354 meas=101 one=357 regular=206 shuttles=4 hwgates=5 comps=22 trace=(567,2,7,12)(688,1,5,10)(922,1,5,14)(1216,1,5,12)";

@@ -235,22 +235,47 @@ fn an_x_on_a_non_image_qubit_entangles_that_ancilla() {
     }
 }
 
-/// The miscompiles the small-device sweep below is known to find, each
-/// labelled with the ROADMAP item that owns its fix. The sweep asserts
-/// that its failing set *equals* this list: a new miscompile fails it,
-/// and so does a fixed one until its entry is deleted here.
-const KNOWN_SMALL_DEVICE_MISCOMPILES: [(&str, &str, u32, &str); 6] = [
-    ("square(6,2,2)", "bv", 14, "ROADMAP item 1"),
-    ("square(6,2,2)", "bv", 20, "ROADMAP item 1"),
-    ("square(6,2,2)", "bv", 36, "ROADMAP item 1"),
-    ("square(6,2,2)", "bv", 41, "ROADMAP item 1"),
-    ("square(6,2,2)", "rand-clifford", 57, "ROADMAP item 1"),
-    ("square(6,2,2)", "rand-clifford", 103, "ROADMAP item 1"),
+/// The miscompiles the small-device sweep below is known to find, keyed
+/// by the aggregation threshold (`min_components`) they were compiled at
+/// and each labelled with the ROADMAP item that owns its fix. The sweep
+/// asserts that its failing set *equals* this list: a new miscompile fails
+/// it, and so does a fixed one until its entry is deleted here.
+const KNOWN_SMALL_DEVICE_MISCOMPILES: [(usize, &str, &str, u32, &str); 29] = [
+    (2, "square(6,2,2)", "bv", 14, "ROADMAP item 1"),
+    (2, "square(6,2,2)", "bv", 20, "ROADMAP item 1"),
+    (2, "square(6,2,2)", "bv", 36, "ROADMAP item 1"),
+    (2, "square(6,2,2)", "bv", 41, "ROADMAP item 1"),
+    (2, "square(6,2,2)", "rand-clifford", 22, "ROADMAP item 1"),
+    (2, "square(6,2,2)", "rand-clifford", 29, "ROADMAP item 1"),
+    (2, "square(6,2,2)", "rand-clifford", 38, "ROADMAP item 1"),
+    (2, "square(6,2,2)", "rand-clifford", 42, "ROADMAP item 1"),
+    (2, "square(6,2,2)", "rand-clifford", 44, "ROADMAP item 1"),
+    (2, "square(6,2,2)", "rand-clifford", 45, "ROADMAP item 1"),
+    (2, "square(6,2,2)", "rand-clifford", 49, "ROADMAP item 1"),
+    (2, "square(6,2,2)", "rand-clifford", 64, "ROADMAP item 1"),
+    (2, "square(6,2,2)", "rand-clifford", 71, "ROADMAP item 1"),
+    (2, "square(6,2,2)", "rand-clifford", 89, "ROADMAP item 1"),
+    (2, "square(6,2,2)", "rand-clifford", 94, "ROADMAP item 1"),
+    (2, "square(6,2,2)", "rand-clifford", 96, "ROADMAP item 1"),
+    (2, "square(6,2,2)", "rand-clifford", 97, "ROADMAP item 1"),
+    (2, "square(6,2,2)", "rand-clifford", 98, "ROADMAP item 1"),
+    (2, "square(6,2,2)", "rand-clifford", 101, "ROADMAP item 1"),
+    (3, "square(6,2,2)", "bv", 14, "ROADMAP item 1"),
+    (3, "square(6,2,2)", "bv", 20, "ROADMAP item 1"),
+    (3, "square(6,2,2)", "bv", 36, "ROADMAP item 1"),
+    (3, "square(6,2,2)", "bv", 41, "ROADMAP item 1"),
+    (3, "square(6,2,2)", "rand-clifford", 57, "ROADMAP item 1"),
+    (3, "square(6,2,2)", "rand-clifford", 103, "ROADMAP item 1"),
+    (5, "square(6,2,2)", "bv", 14, "ROADMAP item 1"),
+    (5, "square(6,2,2)", "bv", 20, "ROADMAP item 1"),
+    (5, "square(6,2,2)", "bv", 36, "ROADMAP item 1"),
+    (5, "square(6,2,2)", "bv", 41, "ROADMAP item 1"),
 ];
 
 /// Every Clifford family at every width from 2 to the data-qubit count,
-/// on three small devices: 519 compile + verify pairs. Never shrink the
-/// sweep to drop a failing width; update the known list instead.
+/// on three small devices, at the default aggregation threshold (3) and
+/// at 2 and 5: 3 × 519 compile + verify pairs. Never shrink the sweep to
+/// drop a failing width; update the known list instead.
 #[test]
 fn small_device_sweep_fails_exactly_the_known_miscompiles() {
     let devices = [
@@ -258,36 +283,47 @@ fn small_device_sweep_fails_exactly_the_known_miscompiles() {
         ("square(5,1,2)", DeviceSpec::square(5, 1, 2)),
         ("square(4,2,2)", DeviceSpec::square(4, 2, 2)),
     ];
-    let config = verify::recording(CompilerConfig::default());
     let mut cases = 0;
     let mut failing = Vec::new();
     for (name, spec) in devices {
         let device = spec.build_artifacts();
-        for (family, gen) in programs::CLIFFORD_FAMILIES {
-            for width in 2..=device.num_data_qubits() {
-                let program = gen(width);
-                let result = MechCompiler::new(Arc::clone(&device), config)
-                    .compile(&program)
-                    .unwrap_or_else(|e| panic!("{name} {family}({width}) must compile: {e}"));
-                cases += 1;
-                if let Err(e) = verify::verify_compiled(&program, &result) {
-                    failing.push((name, family, width, e.to_string()));
+        for min_components in [2, 3, 5] {
+            let config = verify::recording(CompilerConfig {
+                min_components,
+                ..CompilerConfig::default()
+            });
+            for (family, gen) in programs::CLIFFORD_FAMILIES {
+                for width in 2..=device.num_data_qubits() {
+                    let program = gen(width);
+                    let result = MechCompiler::new(Arc::clone(&device), config)
+                        .compile(&program)
+                        .unwrap_or_else(|e| {
+                            panic!("{name} {family}({width}) at min {min_components} must compile: {e}")
+                        });
+                    cases += 1;
+                    if let Err(e) = verify::verify_compiled(&program, &result) {
+                        failing.push((min_components, name, family, width, e.to_string()));
+                    }
                 }
             }
         }
     }
-    assert_eq!(cases, 519, "the sweep covers every family at every width");
-    let known: Vec<(&str, &str, u32)> = KNOWN_SMALL_DEVICE_MISCOMPILES
+    assert_eq!(
+        cases,
+        3 * 519,
+        "the sweep covers every family at every width"
+    );
+    let known: Vec<(usize, &str, &str, u32)> = KNOWN_SMALL_DEVICE_MISCOMPILES
         .iter()
-        .map(|&(device, family, width, _)| (device, family, width))
+        .map(|&(min, device, family, width, _)| (min, device, family, width))
         .collect();
     let new: Vec<_> = failing
         .iter()
-        .filter(|(d, f, w, _)| !known.contains(&(*d, *f, *w)))
+        .filter(|(m, d, f, w, _)| !known.contains(&(*m, *d, *f, *w)))
         .collect();
     let fixed: Vec<_> = KNOWN_SMALL_DEVICE_MISCOMPILES
         .iter()
-        .filter(|&&(d, f, w, _)| !failing.iter().any(|x| (x.0, x.1, x.2) == (d, f, w)))
+        .filter(|&&(m, d, f, w, _)| !failing.iter().any(|x| (x.0, x.1, x.2, x.3) == (m, d, f, w)))
         .collect();
     assert!(
         new.is_empty() && fixed.is_empty(),
