@@ -135,8 +135,8 @@ impl MechCompiler {
     ///
     /// [`CompileError::InvalidCircuit`] if the circuit is malformed;
     /// [`CompileError::TooManyQubits`] if the program is wider than the
-    /// data region; [`CompileError::Routing`] if the data region is
-    /// disconnected (a layout bug).
+    /// data region; [`CompileError::Routing`] if no route joins a
+    /// regular gate's operands, even crossing idle highway qubits.
     pub fn compile(&self, circuit: &Circuit) -> Result<CompileResult, CompileError> {
         self.compile_with_budget(circuit, CompileBudget::unlimited())
     }
@@ -361,8 +361,9 @@ impl<'a> CompileSession<'a> {
     ///
     /// # Errors
     ///
-    /// [`CompileError::Routing`] if the data region is disconnected (a
-    /// layout bug); [`CompileError::DeadlineExceeded`] /
+    /// [`CompileError::Routing`] if no route joins a regular gate's
+    /// operands, even crossing idle highway qubits;
+    /// [`CompileError::DeadlineExceeded`] /
     /// [`CompileError::Cancelled`] when the budget installed by
     /// [`CompileSession::set_budget`] runs out (checked between rounds, so
     /// the observation latency is one round); [`CompileError::Stalled`]

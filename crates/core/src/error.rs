@@ -44,7 +44,8 @@ pub enum CompileError {
         /// Rounds completed before the watchdog fired.
         rounds: u64,
     },
-    /// A qubit could not be routed (disconnected data region).
+    /// No route joins a regular gate's operands, even crossing idle
+    /// highway qubits. On a pristine device this is a compiler bug.
     Routing(RoutingError),
     /// The circuit is unroutable on the surviving fabric of a *degraded*
     /// device (non-empty defect map): routing or schedule progress failed

@@ -271,21 +271,24 @@ impl<'a> LocalRouter<'a> {
                     // `path[stop-1]` is the data node before the run —
                     // unless that is `a` itself (the pair is separated
                     // purely by the run), in which case any free data
-                    // neighbor of `a` works as the landing spot.
+                    // neighbor of `a` works as the landing spot. If `a`
+                    // has none, `a` crosses to a free data neighbor of `b`
+                    // instead.
                     let near = self.scratch.path[stop - 1];
-                    let dest = if near != pa {
-                        Some(near)
-                    } else {
-                        self.topo.neighbors(pa).iter().copied().find(|&q| {
-                            q != pb && !self.layout.is_highway(q) && !pinned.contains_qubit(q)
+                    let free_neighbor = |of: PhysQubit, other: PhysQubit| {
+                        self.topo.neighbors(of).iter().copied().find(|&q| {
+                            q != other && !self.layout.is_highway(q) && !pinned.contains_qubit(q)
                         })
                     };
+                    let (mover, dest) = if near != pa {
+                        (b, Some(near))
+                    } else if let Some(dest) = free_neighbor(pa, pb) {
+                        (b, Some(dest))
+                    } else {
+                        (a, free_neighbor(pb, pa))
+                    };
                     match dest {
-                        Some(dest) => {
-                            self.find_path(mapping.phys(b), dest, pinned)?;
-                            self.emit_path(pc, mapping, &self.scratch.path);
-                            debug_assert_eq!(mapping.phys(b), dest);
-                        }
+                        Some(dest) => self.route_to(pc, mapping, mover, dest, pinned)?,
                         None => break,
                     }
                 }

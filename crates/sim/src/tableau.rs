@@ -25,9 +25,12 @@
 //!   contiguous columns plus the sign column; SWAP exchanges columns.
 //! * A random measurement multiplies the pivot row into every row that
 //!   has X on the measured qubit in one column-wise pass. The pass visits
-//!   only the columns where the pivot is not the identity, and only the
-//!   words that hold rows to update. A bit-sliced mod-4 counter per row
-//!   tracks the `±i` factors.
+//!   only the words that hold rows to update, and only the columns where
+//!   the pivot or its destabilizer is not the identity. It finds those
+//!   by reading four words of each *entangled* column (one that was an
+//!   operand of a two-qubit gate or a random measurement's qubit); any
+//!   other column holds bits only on its own qubit's two rows. A
+//!   bit-sliced mod-4 counter per row tracks the `±i` factors.
 //! * A determined measurement and [`Tableau::membership`] compute the
 //!   sign of a product of commuting stabilizer rows column by column,
 //!   without rebuilding any row: `O(n·⌈n/64⌉)` words.
@@ -190,6 +193,14 @@ pub struct Tableau {
     hi: Vec<u64>,
     /// Measurement scratch: the indices of the non-zero words of `mask`.
     live: Vec<usize>,
+    /// `entangled[q]` is set once column `q` may hold bits outside its
+    /// own destabilizer and stabilizer rows: `q` was an operand of a CNOT,
+    /// CZ or SWAP, or the measured qubit of a random measurement.
+    entangled: Vec<bool>,
+    /// The set entries of `entangled`, in marking order.
+    entangled_cols: Vec<u32>,
+    /// Collapse scratch: the columns a random measurement rewrites.
+    touched: Vec<u32>,
 }
 
 /// The columns `a` and `b` (`a != b`) of a qubit-major bit matrix with
@@ -225,6 +236,9 @@ impl Tableau {
             lo: vec![0; cw],
             hi: vec![0; cw],
             live: Vec::with_capacity(cw),
+            entangled: vec![false; n as usize],
+            entangled_cols: Vec::new(),
+            touched: Vec::new(),
         };
         t.reset();
         t
@@ -240,6 +254,16 @@ impl Tableau {
             let bit = 1u64 << (q % 64);
             self.x[q * cw + q / 64] |= bit; // destabilizer q = X_q
             self.z[q * cw + self.half + q / 64] |= bit; // stabilizer q = Z_q
+        }
+        for q in self.entangled_cols.drain(..) {
+            self.entangled[q as usize] = false;
+        }
+    }
+
+    /// Marks column `q` entangled.
+    fn entangle(&mut self, q: u32) {
+        if !std::mem::replace(&mut self.entangled[q as usize], true) {
+            self.entangled_cols.push(q);
         }
     }
 
@@ -332,6 +356,8 @@ impl Tableau {
             *xt ^= xc;
             *zc ^= zt;
         }
+        self.entangle(c);
+        self.entangle(t);
     }
 
     /// CZ (symmetric): X_a → X_a Z_b, X_b → Z_a X_b.
@@ -350,6 +376,8 @@ impl Tableau {
             *za ^= xb;
             *zb ^= xa;
         }
+        self.entangle(a);
+        self.entangle(b);
     }
 
     /// SWAP: exchanges the two qubits' columns.
@@ -362,6 +390,8 @@ impl Tableau {
         xa.swap_with_slice(xb);
         let (za, zb) = two_columns(&mut self.z, a, b, cw);
         za.swap_with_slice(zb);
+        self.entangle(a);
+        self.entangle(b);
     }
 
     /// Measures qubit `q` in the computational basis.
@@ -371,6 +401,17 @@ impl Tableau {
     /// marked non-determined. If the outcome is forced, `desired` is
     /// ignored and the forced value is returned.
     pub fn measure(&mut self, q: u32, desired: bool) -> MeasureOutcome {
+        self.measure_by(q, desired, Self::gather_touched)
+    }
+
+    /// [`Tableau::measure`] with the columns a random outcome rewrites
+    /// chosen by `gather(self, q, pw, pm)`, which fills `touched`.
+    fn measure_by(
+        &mut self,
+        q: u32,
+        desired: bool,
+        gather: fn(&mut Self, u32, usize, u64),
+    ) -> MeasureOutcome {
         let col = self.column(q).start;
         // A stabilizer row with an X component on q anticommutes with Z_q:
         // the outcome is random. The first such row is the pivot.
@@ -378,6 +419,7 @@ impl Tableau {
         match pivot {
             Some(pw) => {
                 let pm = 1u64 << self.x[col + pw].trailing_zeros();
+                gather(self, q, pw, pm);
                 self.collapse(q, pw, pm, desired);
                 MeasureOutcome {
                     value: desired,
@@ -398,10 +440,39 @@ impl Tableau {
         }
     }
 
+    /// Fills `touched` with the columns a random measurement of `q` with
+    /// the pivot at bit `pm` of word `pw` rewrites: the entangled columns
+    /// (`q` marked first) where the pivot or its destabilizer is not the
+    /// identity.
+    ///
+    /// No other column can qualify. One-qubit gates keep a column's bits
+    /// on their rows, so a column `c` that is not entangled holds bits
+    /// only in destabilizer and stabilizer row `c`, and its X and Z
+    /// columns restricted to those two rows are linearly independent
+    /// (they anticommute). Every other column commutes with both in the
+    /// column-wise symplectic form, so it is zero on those two rows:
+    /// stabilizer `c` acts on qubit `c` alone, and is the pivot (X on the
+    /// measured qubit) only if `c = q`, which is marked. Any other pivot
+    /// and its destabilizer are a row pair other than `c`'s, with no bit
+    /// in column `c`.
+    fn gather_touched(&mut self, q: u32, pw: usize, pm: u64) {
+        let (dw, cw) = (pw - self.half, self.cw());
+        self.entangle(q);
+        self.touched.clear();
+        for &c in &self.entangled_cols {
+            let base = c as usize * cw;
+            let (p, d) = (base + pw, base + dw);
+            if (self.x[p] | self.z[p] | self.x[d] | self.z[d]) & pm != 0 {
+                self.touched.push(c);
+            }
+        }
+    }
+
     /// The random-outcome update of [`Tableau::measure`] with the pivot
-    /// at bit `pm` of word `pw`: multiplies the pivot into every other row
-    /// with X on `q` (`row ← pivot · row`), moves it to its destabilizer
-    /// slot, and replaces it with `±Z_q` carrying the outcome.
+    /// at bit `pm` of word `pw`, over the columns in `touched`: multiplies
+    /// the pivot into every other row with X on `q` (`row ← pivot · row`),
+    /// moves it to its destabilizer slot, and replaces it with `±Z_q`
+    /// carrying the outcome.
     fn collapse(&mut self, q: u32, pw: usize, pm: u64, desired: bool) {
         let (half, cw) = (self.half, self.cw());
         let dw = pw - half;
@@ -414,8 +485,8 @@ impl Tableau {
                 self.live.push(w);
             }
         }
-        for c in 0..self.n as usize {
-            let base = c * cw;
+        for &c in &self.touched {
+            let base = c as usize * cw;
             let px = self.x[base + pw] & pm != 0;
             let pz = self.z[base + pw] & pm != 0;
             if px || pz {
@@ -850,6 +921,148 @@ mod tests {
                     assert_eq!(m.value, branch, "n = {n}, qubit {q}");
                 }
             }
+        }
+    }
+
+    /// The reference collapse: rewrites every column, as the tableau did
+    /// before it tracked entangled columns.
+    fn all_columns(t: &mut Tableau, _: u32, _: usize, _: u64) {
+        t.touched.clear();
+        t.touched.extend(0..t.n);
+    }
+
+    /// Drives a tableau and the all-columns reference through the same
+    /// operations, comparing each measurement's outcome and the full
+    /// X/Z/sign state after it.
+    struct Differential {
+        t: Tableau,
+        reference: Tableau,
+        random: u32,
+        determined: u32,
+    }
+
+    impl Differential {
+        fn new(n: u32) -> Self {
+            Differential {
+                t: Tableau::new(n),
+                reference: Tableau::new(n),
+                random: 0,
+                determined: 0,
+            }
+        }
+
+        fn apply(&mut self, op: impl Fn(&mut Tableau)) {
+            op(&mut self.t);
+            op(&mut self.reference);
+        }
+
+        fn measure(&mut self, q: u32, desired: bool) {
+            let got = self.t.measure(q, desired);
+            let want = self.reference.measure_by(q, desired, all_columns);
+            let n = self.t.n;
+            assert_eq!(got, want, "n = {n}, qubit {q}");
+            assert!(
+                self.t.x == self.reference.x
+                    && self.t.z == self.reference.z
+                    && self.t.r == self.reference.r,
+                "n = {n}: tableau diverged after measuring qubit {q}"
+            );
+            if got.determined {
+                self.determined += 1;
+            } else {
+                self.random += 1;
+            }
+        }
+    }
+
+    #[test]
+    fn entangled_column_collapse_matches_the_all_columns_reference() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        for n in [1u32, 2, 63, 64, 65, 130, 681] {
+            let mut rng = StdRng::seed_from_u64(u64::from(n));
+            let mut d = Differential::new(n);
+            // Half the draws land on a few hot qubits, so entanglement
+            // builds up there while most of a wide tableau stays untouched.
+            let hot = n.min(6);
+            let qubit = |rng: &mut StdRng| {
+                if rng.gen_bool(0.5) {
+                    rng.gen_range(0..hot)
+                } else {
+                    rng.gen_range(0..n)
+                }
+            };
+            for _ in 0..6000 {
+                let (a, b) = (qubit(&mut rng), qubit(&mut rng));
+                match rng.gen_range(0..14) {
+                    0 => d.apply(|t| t.h(a)),
+                    1 => d.apply(|t| t.s(a)),
+                    2 => d.apply(|t| t.sdg(a)),
+                    3 => d.apply(|t| t.x(a)),
+                    4 => d.apply(|t| t.y(a)),
+                    5 => d.apply(|t| t.z(a)),
+                    6 if a != b => d.apply(|t| t.cnot(a, b)),
+                    7 if a != b => d.apply(|t| t.cz(a, b)),
+                    8 => d.apply(|t| t.swap(a, b)),
+                    9 if rng.gen_range(0..40) == 0 => d.apply(Tableau::reset),
+                    6..=9 => d.apply(|t| t.h(a)),
+                    _ => d.measure(a, rng.gen_bool(0.5)),
+                }
+            }
+            assert!(d.random > 0 && d.determined > 0, "n = {n}: both kinds");
+        }
+    }
+
+    #[test]
+    fn hadamard_then_measure_on_a_never_entangled_qubit() {
+        for desired in [false, true] {
+            let mut d = Differential::new(65);
+            d.apply(|t| {
+                t.h(0);
+                t.cnot(0, 1);
+                t.h(64);
+            });
+            d.measure(64, desired);
+            d.measure(64, !desired);
+            d.measure(1, desired);
+            assert_eq!((d.random, d.determined), (2, 1));
+        }
+    }
+
+    #[test]
+    fn swap_of_a_never_entangled_qubit_with_an_entangled_one() {
+        // Either operand order: the never-entangled qubit 2 receives half
+        // of the Bell pair, and measuring the other half must rewrite it.
+        for (a, b) in [(1, 2), (2, 1)] {
+            let mut d = Differential::new(3);
+            d.apply(|t| {
+                t.h(0);
+                t.cnot(0, 1);
+                t.swap(a, b);
+            });
+            d.measure(0, true);
+            d.measure(2, false);
+            assert_eq!((d.random, d.determined), (1, 1));
+        }
+    }
+
+    #[test]
+    fn measurement_right_after_reset() {
+        let mut d = Differential::new(4);
+        d.apply(|t| {
+            t.h(0);
+            t.cnot(0, 1);
+            t.swap(1, 2);
+        });
+        d.measure(0, true);
+        for q in 0..3 {
+            d.apply(|t| {
+                t.reset();
+                t.h(q);
+            });
+            d.measure(q, false);
+            d.apply(|t| t.h(q));
+            d.measure(q, true);
         }
     }
 

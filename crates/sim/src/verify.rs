@@ -92,7 +92,7 @@ impl OutcomePolicy {
     /// The three policies the verification suites sweep. `Zeros` and
     /// `Ones` cover both branches of every correction; the seeded policy
     /// adds an arbitrary interleaving.
-    pub(crate) const SWEEP: [OutcomePolicy; 3] = [
+    pub const SWEEP: [OutcomePolicy; 3] = [
         OutcomePolicy::Zeros,
         OutcomePolicy::Ones,
         OutcomePolicy::Seeded(0x6d65_6368),

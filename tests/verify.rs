@@ -19,7 +19,7 @@ use std::sync::Arc;
 use mech::{CompileResult, CompilerConfig, DeviceSpec, MechCompiler};
 use mech_bench::verify::{OutcomePolicy, SchedVerifier};
 use mech_bench::{programs, verify};
-use mech_chiplet::{PhysQubit, SemEvent, SemEventKind, SemGate1};
+use mech_chiplet::{ChipletSpec, CouplingStructure, PhysQubit, SemEvent, SemEventKind, SemGate1};
 use mech_circuit::Circuit;
 use mech_sim::{Membership, PauliString, VerifyError};
 
@@ -235,12 +235,70 @@ fn an_x_on_a_non_image_qubit_entangles_that_ancilla() {
     }
 }
 
+#[test]
+fn the_sweep_reusing_one_tableau_equals_three_fresh_passes() {
+    // `verify_sweep` resets one tableau between policies; each `verify`
+    // call starts from a fresh one. A passing compile must report the
+    // same three passes, and a known miscompile the same first error:
+    // `bv(14)` fails under the first policy, `rand_clifford(57)` only
+    // under the third, after two passes on the reused tableau.
+    let device = DeviceSpec::square(6, 2, 2).build_artifacts();
+    let config = verify::recording(CompilerConfig::default());
+    let cases = [
+        programs::bv(16),
+        programs::rand_clifford(32),
+        programs::bv(14),
+        programs::rand_clifford(57),
+    ]
+    .map(|program| {
+        let result = MechCompiler::new(Arc::clone(&device), config)
+            .compile(&program)
+            .unwrap();
+        (result, program)
+    });
+    for (i, (result, program)) in cases.iter().enumerate() {
+        let v = SchedVerifier::new(
+            program,
+            144,
+            result.circuit.sem_events(),
+            &result.final_positions,
+        );
+        let fresh: Result<Vec<_>, _> = OutcomePolicy::SWEEP
+            .iter()
+            .map(|&policy| v.verify(policy))
+            .collect();
+        assert_eq!(fresh.is_ok(), i < 2, "the first two compiles verify");
+        assert_eq!(v.verify_sweep(), fresh);
+    }
+}
+
+#[test]
+fn a_multi_qubit_highway_run_beside_a_boxed_in_qubit_still_routes() {
+    // On hexagon chiplets a gate's target can sit behind a highway run
+    // while its control has no free data neighbor; the control then
+    // crosses to the target's side. These compiles used to fail with
+    // "no data route".
+    let hexagon = |d, r, c| DeviceSpec::new(ChipletSpec::new(CouplingStructure::Hexagon, d, r, c));
+    for (spec, width) in [(hexagon(7, 3, 3), 162), (hexagon(6, 2, 2), 22)] {
+        let device = spec.build_artifacts();
+        let program = programs::ghz(width);
+        let result = MechCompiler::new(
+            Arc::clone(&device),
+            verify::recording(CompilerConfig::default()),
+        )
+        .compile(&program)
+        .unwrap_or_else(|e| panic!("ghz({width}) must compile: {e}"));
+        device.audit(&result.circuit).unwrap();
+        verify::verify_compiled(&program, &result).unwrap();
+    }
+}
+
 /// The miscompiles the small-device sweep below is known to find, keyed
 /// by the aggregation threshold (`min_components`) they were compiled at
 /// and each labelled with the ROADMAP item that owns its fix. The sweep
 /// asserts that its failing set *equals* this list: a new miscompile fails
 /// it, and so does a fixed one until its entry is deleted here.
-const KNOWN_SMALL_DEVICE_MISCOMPILES: [(usize, &str, &str, u32, &str); 29] = [
+const KNOWN_SMALL_DEVICE_MISCOMPILES: [(usize, &str, &str, u32, &str); 56] = [
     (2, "square(6,2,2)", "bv", 14, "ROADMAP item 1"),
     (2, "square(6,2,2)", "bv", 20, "ROADMAP item 1"),
     (2, "square(6,2,2)", "bv", 36, "ROADMAP item 1"),
@@ -270,24 +328,111 @@ const KNOWN_SMALL_DEVICE_MISCOMPILES: [(usize, &str, &str, u32, &str); 29] = [
     (5, "square(6,2,2)", "bv", 20, "ROADMAP item 1"),
     (5, "square(6,2,2)", "bv", 36, "ROADMAP item 1"),
     (5, "square(6,2,2)", "bv", 41, "ROADMAP item 1"),
+    (3, "hexagon(6,2,2)", "bv", 17, "ROADMAP item 1"),
+    (3, "hexagon(6,2,2)", "bv", 47, "ROADMAP item 1"),
+    (3, "hexagon(6,2,2)", "bv", 48, "ROADMAP item 1"),
+    (3, "hexagon(6,2,2)", "bv", 49, "ROADMAP item 1"),
+    (3, "hexagon(6,2,2)", "bv", 53, "ROADMAP item 1"),
+    (3, "hexagon(6,2,2)", "bv", 54, "ROADMAP item 1"),
+    (3, "hexagon(6,2,2)", "bv", 63, "ROADMAP item 1"),
+    (3, "hexagon(6,2,2)", "rand-clifford", 5, "ROADMAP item 1"),
+    (3, "hexagon(6,2,2)", "rand-clifford", 6, "ROADMAP item 1"),
+    (3, "hexagon(6,2,2)", "rand-clifford", 11, "ROADMAP item 1"),
+    (3, "hexagon(6,2,2)", "rand-clifford", 21, "ROADMAP item 1"),
+    (3, "hexagon(6,2,2)", "rand-clifford", 55, "ROADMAP item 1"),
+    (3, "heavy-square(6,2,2)", "bv", 28, "ROADMAP item 1"),
+    (3, "heavy-square(6,2,2)", "bv", 49, "ROADMAP item 1"),
+    (3, "heavy-square(6,2,2)", "bv", 60, "ROADMAP item 1"),
+    (3, "heavy-square(6,2,2)", "bv", 67, "ROADMAP item 1"),
+    (
+        3,
+        "heavy-square(6,2,2)",
+        "rand-clifford",
+        5,
+        "ROADMAP item 1",
+    ),
+    (
+        3,
+        "heavy-square(6,2,2)",
+        "rand-clifford",
+        6,
+        "ROADMAP item 1",
+    ),
+    (
+        3,
+        "heavy-square(6,2,2)",
+        "rand-clifford",
+        30,
+        "ROADMAP item 1",
+    ),
+    (
+        3,
+        "heavy-square(6,2,2)",
+        "rand-clifford",
+        37,
+        "ROADMAP item 1",
+    ),
+    (
+        3,
+        "heavy-square(6,2,2)",
+        "rand-clifford",
+        61,
+        "ROADMAP item 1",
+    ),
+    (
+        3,
+        "heavy-square(6,2,2)",
+        "rand-clifford",
+        68,
+        "ROADMAP item 1",
+    ),
+    (3, "heavy-hexagon(6,2,2)", "bv", 15, "ROADMAP item 1"),
+    (3, "heavy-hexagon(6,2,2)", "bv", 17, "ROADMAP item 1"),
+    (3, "heavy-hexagon(6,2,2)", "bv", 39, "ROADMAP item 1"),
+    (3, "heavy-hexagon(6,2,2)", "bv", 47, "ROADMAP item 1"),
+    (
+        3,
+        "heavy-hexagon(6,2,2)",
+        "rand-clifford",
+        39,
+        "ROADMAP item 1",
+    ),
 ];
 
-/// Every Clifford family at every width from 2 to the data-qubit count,
-/// on three small devices, at the default aggregation threshold (3) and
-/// at 2 and 5: 3 × 519 compile + verify pairs. Never shrink the sweep to
-/// drop a failing width; update the known list instead.
+/// Every Clifford family at every width from 2 to the data-qubit count:
+/// on three small square devices at the default aggregation threshold (3)
+/// and at 2 and 5 (3 × 519 compile + verify pairs), and on the hexagon,
+/// heavy-square and heavy-hexagon `(6, 2, 2)` devices at 3 (621 pairs).
+/// Never shrink the sweep to drop a failing width; update the known list
+/// instead.
 #[test]
 fn small_device_sweep_fails_exactly_the_known_miscompiles() {
+    let structure = |s| DeviceSpec::new(ChipletSpec::new(s, 6, 2, 2));
     let devices = [
-        ("square(6,2,2)", DeviceSpec::square(6, 2, 2)),
-        ("square(5,1,2)", DeviceSpec::square(5, 1, 2)),
-        ("square(4,2,2)", DeviceSpec::square(4, 2, 2)),
+        ("square(6,2,2)", DeviceSpec::square(6, 2, 2), &[2, 3, 5][..]),
+        ("square(5,1,2)", DeviceSpec::square(5, 1, 2), &[2, 3, 5]),
+        ("square(4,2,2)", DeviceSpec::square(4, 2, 2), &[2, 3, 5]),
+        (
+            "hexagon(6,2,2)",
+            structure(CouplingStructure::Hexagon),
+            &[3],
+        ),
+        (
+            "heavy-square(6,2,2)",
+            structure(CouplingStructure::HeavySquare),
+            &[3],
+        ),
+        (
+            "heavy-hexagon(6,2,2)",
+            structure(CouplingStructure::HeavyHexagon),
+            &[3],
+        ),
     ];
     let mut cases = 0;
     let mut failing = Vec::new();
-    for (name, spec) in devices {
+    for (name, spec, thresholds) in devices {
         let device = spec.build_artifacts();
-        for min_components in [2, 3, 5] {
+        for &min_components in thresholds {
             let config = verify::recording(CompilerConfig {
                 min_components,
                 ..CompilerConfig::default()
@@ -310,7 +455,7 @@ fn small_device_sweep_fails_exactly_the_known_miscompiles() {
     }
     assert_eq!(
         cases,
-        3 * 519,
+        3 * 519 + 621,
         "the sweep covers every family at every width"
     );
     let known: Vec<(usize, &str, &str, u32)> = KNOWN_SMALL_DEVICE_MISCOMPILES
