@@ -11,7 +11,8 @@
 //!   [`CsrGraph`] for derived graphs such as the highway mesh, and by
 //!   [`AdjacencyView`] for small per-call adjacency lists);
 //! * [`BfsKernel`] is the generation-stamped breadth-first search;
-//! * [`astar_route`] is the node-weighted A* used for data-region routing;
+//! * [`astar_route`] is the node-weighted A* used for data-region routing,
+//!   on a monotone bucket queue;
 //! * [`DialSearch`] is the resumable 0/1-bucket Dijkstra behind the
 //!   highway claim engine.
 //!
@@ -35,7 +36,6 @@
 //! cutoff are pinned by the golden schedules, runs over a dedicated
 //! grid-scan-order graph for exactly this reason (`DESIGN.md` §10.3).
 
-use std::cmp::Reverse;
 use std::collections::VecDeque;
 
 use crate::ids::PhysQubit;
@@ -296,6 +296,15 @@ const CANCEL_POLL_INTERVAL: u32 = 256;
 /// joins grid-adjacent cells). Nodes failing `enter` are impassable,
 /// except `to` which is always enterable.
 ///
+/// The open set is a monotone bucket queue keyed by `f − h(from)`:
+/// consistency makes f non-decreasing along every relaxation, so no entry
+/// lands below the bucket being drained. Pops within one bucket follow no
+/// particular order, and need none. With a consistent heuristic a node's
+/// cost is final when it pops, whatever the order among equal f, so the
+/// expanded set (every node whose final f does not exceed the goal cost)
+/// and each recorded cost (the minimum over expanded neighbors) do not
+/// depend on it.
+///
 /// On success every node whose f-value does not exceed the goal cost is
 /// fully settled — exactly the set a backward
 /// [`RoutingScratch::reconstruct_path`] (same `weight` as `step`) can
@@ -313,28 +322,29 @@ pub fn astar_route<G: RoutingGraph>(
 ) -> bool {
     scratch.begin(g.num_nodes());
     scratch.set_cost(from, (0, 0));
-    // Heap entries carry `(f, g)`: the g-value makes the staleness check
-    // one comparison against the stored cost instead of a heuristic
-    // re-evaluation per pop. Among equal-f entries pop order shifts to
-    // prefer smaller g, which cannot change the settled costs (they are
-    // the relaxation fixpoint) nor the reconstructed min-id path.
-    scratch.heap.push(Reverse(((h(from), 0), from)));
+    let h_from = h(from) as usize;
+    // Entries carry their g-value, so the staleness check is one
+    // comparison against the stored cost instead of a heuristic
+    // re-evaluation per pop.
+    scratch.queue.push(0, from, 0);
     // Once the goal cost is known, keep draining entries with f ≤ g(to):
     // that finalizes every node the path reconstruction can visit
     // (anything with a better f), at which point the recorded costs agree
     // with a full Dijkstra's.
-    let mut goal_cost: Option<u32> = None;
+    let mut last_key = usize::MAX;
+    let mut key = 0usize;
     let mut polls = 0u32;
 
-    while let Some(Reverse(((f, gq), q))) = scratch.heap.pop() {
+    while key <= last_key && key < scratch.queue.used() {
+        let Some((q, gq)) = scratch.queue.pop(key) else {
+            key += 1;
+            continue;
+        };
         polls += 1;
         if polls.is_multiple_of(CANCEL_POLL_INTERVAL) && scratch.cancel.is_cancelled() {
             // The session maps an aborted search to `Cancelled`; costs
             // settled so far are abandoned with the whole compile.
             return false;
-        }
-        if goal_cost.is_some_and(|g_to| f > g_to) {
-            break;
         }
         if gq != scratch.cost(q).0 {
             continue; // stale entry superseded by a cheaper relaxation
@@ -349,10 +359,16 @@ pub fn astar_route<G: RoutingGraph>(
             let ng = gq + weight(v);
             if ng < scratch.cost(v).0 {
                 scratch.set_cost(v, (ng, 0));
+                // A consistent heuristic never keys an entry below the
+                // bucket being drained; the clamp keeps an inconsistent
+                // one from stranding it there.
+                let f = (ng + h(v)) as usize;
+                debug_assert!(f >= h_from + key, "heuristic is not consistent");
+                let v_key = f.saturating_sub(h_from).max(key);
                 if v == to {
-                    goal_cost = Some(ng);
+                    last_key = v_key;
                 }
-                scratch.heap.push(Reverse(((ng + h(v), ng), v)));
+                scratch.queue.push(v_key, v, ng);
             }
         }
     }

@@ -11,8 +11,6 @@
 //! serves both the local router (swap cost, untied) and the highway
 //! occupancy router (newly claimed qubits, tie-broken by hops).
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -192,7 +190,53 @@ pub(crate) type SearchCost = (u32, u32);
 /// Cost value marking an unreached node.
 pub const UNREACHED: SearchCost = (u32::MAX, u32::MAX);
 
-/// A generation-stamped cost map plus a reusable priority queue.
+/// A monotone bucket queue of `(node, g)` entries keyed by a small
+/// integer, for searches whose keys never decrease ([`astar_route`] keys
+/// by `f − h(from)`). Pops within one bucket are last-in first-out.
+/// Clearing empties only the buckets used since the last clear, so a
+/// short search pays for its own buckets, not for the longest one before
+/// it.
+///
+/// [`astar_route`]: crate::kernels::astar_route
+#[derive(Debug, Clone, Default)]
+pub(crate) struct BucketQueue {
+    buckets: Vec<Vec<(PhysQubit, u32)>>,
+    /// One past the highest bucket pushed since the last clear.
+    used: usize,
+}
+
+impl BucketQueue {
+    /// Queues `(q, g)` in bucket `key`.
+    #[inline]
+    pub(crate) fn push(&mut self, key: usize, q: PhysQubit, g: u32) {
+        if key >= self.buckets.len() {
+            self.buckets.resize_with(key + 1, Vec::new);
+        }
+        self.used = self.used.max(key + 1);
+        self.buckets[key].push((q, g));
+    }
+
+    /// Takes the most recent entry of bucket `key`.
+    #[inline]
+    pub(crate) fn pop(&mut self, key: usize) -> Option<(PhysQubit, u32)> {
+        self.buckets.get_mut(key)?.pop()
+    }
+
+    /// One past the highest bucket that may hold an entry.
+    pub(crate) fn used(&self) -> usize {
+        self.used
+    }
+
+    /// Empties every bucket used since the last clear.
+    fn clear(&mut self) {
+        for bucket in &mut self.buckets[..self.used] {
+            bucket.clear();
+        }
+        self.used = 0;
+    }
+}
+
+/// A generation-stamped cost map plus a reusable bucket queue.
 ///
 /// # Example
 ///
@@ -209,8 +253,8 @@ pub const UNREACHED: SearchCost = (u32::MAX, u32::MAX);
 #[derive(Debug, Clone, Default)]
 pub struct RoutingScratch {
     cost: StampMap<SearchCost>,
-    /// Min-heap of `(cost, node)` entries (via `Reverse`).
-    pub heap: BinaryHeap<Reverse<(SearchCost, PhysQubit)>>,
+    /// The open set of [`astar_route`](crate::kernels::astar_route).
+    pub(crate) queue: BucketQueue,
     /// Reusable path buffer for searches that return node sequences.
     pub path: Vec<PhysQubit>,
     /// Cooperative cancellation observed by the search kernels running on
@@ -223,7 +267,7 @@ impl RoutingScratch {
     /// invalidates all stored costs without touching the arrays.
     pub fn begin(&mut self, n: usize) {
         self.cost.begin(n);
-        self.heap.clear();
+        self.queue.clear();
     }
 
     /// The cost recorded for `q` in the current search ([`UNREACHED`] if
@@ -325,10 +369,18 @@ mod tests {
         let mut s = RoutingScratch::default();
         s.begin(8);
         s.set_cost(PhysQubit(3), (1, 2));
-        s.heap.push(Reverse(((1, 2), PhysQubit(3))));
+        s.queue.push(0, PhysQubit(3), 1);
+        s.queue.push(5, PhysQubit(4), 2);
         s.begin(8);
         assert_eq!(s.cost(PhysQubit(3)), UNREACHED);
-        assert!(s.heap.is_empty());
+        assert_eq!(s.queue.used(), 0);
+        assert_eq!(s.queue.pop(0), None);
+        assert_eq!(s.queue.pop(5), None);
+        // A shorter search after a longer one clears only its own buckets
+        // and still leaves nothing behind.
+        s.queue.push(1, PhysQubit(2), 0);
+        s.begin(8);
+        assert!((0..8).all(|k| s.queue.pop(k).is_none()));
     }
 
     #[test]

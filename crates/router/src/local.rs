@@ -110,8 +110,9 @@ impl<'a> LocalRouter<'a> {
     /// swaps. The search runs on the shared [`astar_route`] kernel over the
     /// topology's CSR rows, with the grid (Manhattan) distance to `to` as
     /// the heuristic: each link changes it by exactly 1 and each hop costs
-    /// at least 1, so it is consistent. Leaves the node path from `from`
-    /// to `to` inclusive in `self.scratch.path`.
+    /// at least 1, so it is consistent. A coupled pair skips the search:
+    /// its one hop is the only optimal path. Leaves the node path from
+    /// `from` to `to` inclusive in `self.scratch.path`.
     fn find_path<S: QubitSet>(
         &mut self,
         from: PhysQubit,
@@ -129,6 +130,12 @@ impl<'a> LocalRouter<'a> {
         }
         if from == to {
             scratch.path.push(from);
+            return Ok(());
+        }
+        if topo.are_coupled(from, to) {
+            // The direct link costs w(to); any detour pays w(mid) + w(to)
+            // with w ≥ 1, so the one hop is the strict optimum.
+            scratch.path.extend([from, to]);
             return Ok(());
         }
 
@@ -371,10 +378,11 @@ mod tests {
     #[test]
     fn path_cost_matches_plain_dijkstra() {
         // The A* search must agree with an oracle Dijkstra on both the
-        // optimal cost and the reconstructed path. The grid-distance
-        // heuristic is exact only on full square arrays, so the cases
-        // cover every coupling structure, a sparse-cross-link device and a
-        // defect-masked one, where it underestimates.
+        // optimal cost and the reconstructed path, under random pinned
+        // sets. The grid-distance heuristic is exact only on full square
+        // arrays, so the cases cover every coupling structure, a
+        // sparse-cross-link device and a defect-masked one, where it
+        // underestimates.
         let mut cases: Vec<(String, Topology, HighwayLayout)> = CouplingStructure::ALL
             .into_iter()
             .map(|s| {
@@ -404,34 +412,80 @@ mod tests {
             .with_dead_link(seam.0, seam.1);
         cases.push(("masked".into(), topo.masked(&defects), hw.pruned(&defects)));
 
-        let empty = HashSet::new();
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next_rand = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
         for (name, topo, hw) in &cases {
             let mut r = LocalRouter::new(topo, hw);
             let data = hw.data_qubits();
-            for &from in data.iter().step_by(data.len() / 4) {
-                for &to in data.iter().step_by(3) {
-                    let (cost, path) = dijkstra_oracle(topo, hw, from, to);
-                    if r.find_path(from, to, &empty).is_err() {
-                        assert_eq!(cost, u32::MAX, "{name}: A* missed {from}->{to}");
-                        continue;
+            let mut searches = 0;
+            // Round 0 pins nothing; later rounds pin about one qubit in
+            // eight, endpoints included: the destination stays enterable
+            // and the source is never entered.
+            for round in 0..4 {
+                let pinned: HashSet<PhysQubit> = topo
+                    .qubits()
+                    .filter(|_| round > 0 && next_rand() % 8 == 0)
+                    .collect();
+                for &from in data.iter().step_by(data.len() / 4) {
+                    for &to in data.iter().step_by(3) {
+                        let (cost, path) = dijkstra_oracle(topo, hw, &pinned, from, to);
+                        if r.find_path(from, to, &pinned).is_err() {
+                            assert_eq!(cost, u32::MAX, "{name}: A* missed {from}->{to}");
+                            continue;
+                        }
+                        searches += 1;
+                        let astar_path = r.scratch.path.clone();
+                        let astar_cost: u32 = astar_path[1..]
+                            .iter()
+                            .map(|&q| if hw.is_highway(q) { 2 } else { 1 })
+                            .sum();
+                        assert_eq!(astar_cost, cost, "{name}: cost mismatch {from}->{to}");
+                        assert_eq!(astar_path, path, "{name}: path mismatch {from}->{to}");
                     }
-                    let astar_path = r.scratch.path.clone();
-                    let astar_cost: u32 = astar_path[1..]
-                        .iter()
-                        .map(|&q| if hw.is_highway(q) { 2 } else { 1 })
-                        .sum();
-                    assert_eq!(astar_cost, cost, "{name}: cost mismatch {from}->{to}");
-                    assert_eq!(astar_path, path, "{name}: path mismatch {from}->{to}");
+                }
+                // A coupled pair takes the one-hop shortcut; it must route
+                // exactly as the searched path did: same ops, same mapping.
+                for (i, &a) in data.iter().enumerate() {
+                    for &b in topo.neighbors(a) {
+                        if hw.is_highway(b) {
+                            continue;
+                        }
+                        let route = |r: &mut LocalRouter, searched: bool| {
+                            let mut m = Mapping::trivial(data.len() as u32, &data);
+                            let mut pc = PhysCircuit::new(topo.num_qubits(), CostModel::default());
+                            if searched {
+                                let (_, path) = dijkstra_oracle(topo, hw, &pinned, a, b);
+                                r.emit_path(&mut pc, &mut m, &path);
+                            } else {
+                                r.route_to(&mut pc, &mut m, Qubit(i as u32), b, &pinned)
+                                    .unwrap();
+                            }
+                            (pc.ops().to_vec(), m)
+                        };
+                        assert_eq!(
+                            route(&mut r, false),
+                            route(&mut r, true),
+                            "{name}: coupled pair {a}->{b}"
+                        );
+                    }
                 }
             }
+            assert!(searches > 100, "{name}: too few routed pairs ({searches})");
         }
     }
 
     /// Reference implementation: the seed compiler's Dijkstra with
-    /// `(cost, qubit)` pop order and strict-improvement prev tracking.
+    /// `(cost, qubit)` pop order and strict-improvement prev tracking,
+    /// entering no pinned qubit but the destination.
     fn dijkstra_oracle(
         topo: &Topology,
         hw: &HighwayLayout,
+        pinned: &HashSet<PhysQubit>,
         from: PhysQubit,
         to: PhysQubit,
     ) -> (u32, Vec<PhysQubit>) {
@@ -449,6 +503,9 @@ mod tests {
                 break;
             }
             for &v in topo.neighbors(u) {
+                if v != to && pinned.contains(&v) {
+                    continue;
+                }
                 let step = if hw.is_highway(v) { 2 } else { 1 };
                 let nc = c + step;
                 if nc < cost[v.index()] {

@@ -19,18 +19,24 @@
 //! corresponding words. One more column of the same shape holds the row
 //! signs (a set bit is a −1 phase).
 //!
+//! Qubits and storage columns are two index spaces: qubit `q` lives in
+//! column `col_of[q]`, and column `c` holds qubit `qubit_at[c]`. They
+//! start equal (and [`Tableau::reset`] makes them equal again); a SWAP
+//! exchanges two qubits' columns by exchanging the two labels.
+//!
 //! # Costs
 //!
 //! * A gate on qubits `a`, `b` is one word loop over their two to four
-//!   contiguous columns plus the sign column; SWAP exchanges columns.
+//!   contiguous columns plus the sign column. SWAP relabels in O(1): it
+//!   moves no word.
 //! * A random measurement multiplies the pivot row into every row that
 //!   has X on the measured qubit in one column-wise pass. The pass visits
 //!   only the words that hold rows to update, and only the columns where
 //!   the pivot or its destabilizer is not the identity. It finds those
 //!   by reading four words of each *entangled* column (one that was an
-//!   operand of a two-qubit gate or a random measurement's qubit); any
-//!   other column holds bits only on its own qubit's two rows. A
-//!   bit-sliced mod-4 counter per row tracks the `±i` factors.
+//!   operand of a CNOT or CZ, or a random measurement's column); any
+//!   other column `c` holds bits only on row pair `c`. A bit-sliced
+//!   mod-4 counter per row tracks the `±i` factors.
 //! * A determined measurement and [`Tableau::membership`] compute the
 //!   sign of a product of commuting stabilizer rows column by column,
 //!   without rebuilding any row: `O(n·⌈n/64⌉)` words.
@@ -193,9 +199,15 @@ pub struct Tableau {
     hi: Vec<u64>,
     /// Measurement scratch: the indices of the non-zero words of `mask`.
     live: Vec<usize>,
-    /// `entangled[q]` is set once column `q` may hold bits outside its
-    /// own destabilizer and stabilizer rows: `q` was an operand of a CNOT,
-    /// CZ or SWAP, or the measured qubit of a random measurement.
+    /// `col_of[q]` is the storage column of qubit `q`.
+    col_of: Vec<u32>,
+    /// `qubit_at[c]` is the qubit stored in column `c` (the inverse of
+    /// `col_of`).
+    qubit_at: Vec<u32>,
+    /// `entangled[c]` is set once storage column `c` may hold bits outside
+    /// destabilizer and stabilizer row `c`: it was an operand column of a
+    /// CNOT or CZ, or the measured column of a random measurement. A SWAP
+    /// moves no bit, so it marks nothing.
     entangled: Vec<bool>,
     /// The set entries of `entangled`, in marking order.
     entangled_cols: Vec<u32>,
@@ -236,6 +248,8 @@ impl Tableau {
             lo: vec![0; cw],
             hi: vec![0; cw],
             live: Vec::with_capacity(cw),
+            col_of: Vec::new(),
+            qubit_at: Vec::new(),
             entangled: vec![false; n as usize],
             entangled_cols: Vec::new(),
             touched: Vec::new(),
@@ -244,7 +258,8 @@ impl Tableau {
         t
     }
 
-    /// Returns the tableau to `|0…0⟩` without reallocating.
+    /// Returns the tableau to `|0…0⟩`, every qubit in its own column,
+    /// without reallocating.
     pub(crate) fn reset(&mut self) {
         self.x.fill(0);
         self.z.fill(0);
@@ -255,15 +270,19 @@ impl Tableau {
             self.x[q * cw + q / 64] |= bit; // destabilizer q = X_q
             self.z[q * cw + self.half + q / 64] |= bit; // stabilizer q = Z_q
         }
-        for q in self.entangled_cols.drain(..) {
-            self.entangled[q as usize] = false;
+        self.col_of.clear();
+        self.col_of.extend(0..self.n);
+        self.qubit_at.clear();
+        self.qubit_at.extend(0..self.n);
+        for c in self.entangled_cols.drain(..) {
+            self.entangled[c as usize] = false;
         }
     }
 
-    /// Marks column `q` entangled.
-    fn entangle(&mut self, q: u32) {
-        if !std::mem::replace(&mut self.entangled[q as usize], true) {
-            self.entangled_cols.push(q);
+    /// Marks storage column `c` entangled.
+    fn entangle(&mut self, c: u32) {
+        if !std::mem::replace(&mut self.entangled[c as usize], true) {
+            self.entangled_cols.push(c);
         }
     }
 
@@ -280,8 +299,8 @@ impl Tableau {
     /// The word range of qubit `q`'s column.
     fn column(&self, q: u32) -> std::ops::Range<usize> {
         assert!(q < self.n, "qubit out of range");
-        let cw = self.cw();
-        q as usize * cw..(q as usize + 1) * cw
+        let (c, cw) = (self.col_of[q as usize] as usize, self.cw());
+        c * cw..(c + 1) * cw
     }
 
     /// Hadamard on `q`: swaps the X and Z columns, flipping signs of rows
@@ -347,7 +366,7 @@ impl Tableau {
     /// Panics if `c == t`.
     pub fn cnot(&mut self, c: u32, t: u32) {
         assert_ne!(c, t, "cnot operands must differ");
-        let cw = self.cw();
+        let (c, t, cw) = (self.col_of[c as usize], self.col_of[t as usize], self.cw());
         let (xc, xt) = two_columns(&mut self.x, c, t, cw);
         let (zc, zt) = two_columns(&mut self.z, c, t, cw);
         let rows = xc.iter().zip(xt).zip(zc.iter_mut().zip(zt.iter()));
@@ -367,7 +386,7 @@ impl Tableau {
     /// Panics if `a == b`.
     pub fn cz(&mut self, a: u32, b: u32) {
         assert_ne!(a, b, "cz operands must differ");
-        let cw = self.cw();
+        let (a, b, cw) = (self.col_of[a as usize], self.col_of[b as usize], self.cw());
         let (xa, xb) = two_columns(&mut self.x, a, b, cw);
         let (za, zb) = two_columns(&mut self.z, a, b, cw);
         let rows = xa.iter().zip(xb.iter()).zip(za.iter_mut().zip(zb));
@@ -380,18 +399,13 @@ impl Tableau {
         self.entangle(b);
     }
 
-    /// SWAP: exchanges the two qubits' columns.
+    /// SWAP: exchanges the two qubits' storage columns by relabeling, in
+    /// O(1). No word moves, so no column becomes entangled.
     pub fn swap(&mut self, a: u32, b: u32) {
-        if a == b {
-            return;
-        }
-        let cw = self.cw();
-        let (xa, xb) = two_columns(&mut self.x, a, b, cw);
-        xa.swap_with_slice(xb);
-        let (za, zb) = two_columns(&mut self.z, a, b, cw);
-        za.swap_with_slice(zb);
-        self.entangle(a);
-        self.entangle(b);
+        let (a, b) = (a as usize, b as usize);
+        self.col_of.swap(a, b);
+        self.qubit_at[self.col_of[a] as usize] = a as u32;
+        self.qubit_at[self.col_of[b] as usize] = b as u32;
     }
 
     /// Measures qubit `q` in the computational basis.
@@ -440,24 +454,24 @@ impl Tableau {
         }
     }
 
-    /// Fills `touched` with the columns a random measurement of `q` with
-    /// the pivot at bit `pm` of word `pw` rewrites: the entangled columns
-    /// (`q` marked first) where the pivot or its destabilizer is not the
-    /// identity.
+    /// Fills `touched` with the storage columns a random measurement of
+    /// `q` with the pivot at bit `pm` of word `pw` rewrites: the entangled
+    /// columns (`q`'s column marked first) where the pivot or its
+    /// destabilizer is not the identity.
     ///
     /// No other column can qualify. One-qubit gates keep a column's bits
-    /// on their rows, so a column `c` that is not entangled holds bits
-    /// only in destabilizer and stabilizer row `c`, and its X and Z
-    /// columns restricted to those two rows are linearly independent
-    /// (they anticommute). Every other column commutes with both in the
-    /// column-wise symplectic form, so it is zero on those two rows:
-    /// stabilizer `c` acts on qubit `c` alone, and is the pivot (X on the
-    /// measured qubit) only if `c = q`, which is marked. Any other pivot
-    /// and its destabilizer are a row pair other than `c`'s, with no bit
-    /// in column `c`.
+    /// on their rows and a SWAP moves none, so a storage column `c` that
+    /// is not entangled holds bits only in destabilizer and stabilizer row
+    /// `c`, and its X and Z columns restricted to those two rows are
+    /// linearly independent (they anticommute). Every other column
+    /// commutes with both in the column-wise symplectic form, so it is
+    /// zero on those two rows: stabilizer `c` acts on column `c` alone,
+    /// and is the pivot (X in the measured column) only if `c` is `q`'s
+    /// column, which is marked. Any other pivot and its destabilizer are
+    /// a row pair other than `c`'s, with no bit in column `c`.
     fn gather_touched(&mut self, q: u32, pw: usize, pm: u64) {
         let (dw, cw) = (pw - self.half, self.cw());
-        self.entangle(q);
+        self.entangle(self.col_of[q as usize]);
         self.touched.clear();
         for &c in &self.entangled_cols {
             let base = c as usize * cw;
@@ -476,7 +490,7 @@ impl Tableau {
     fn collapse(&mut self, q: u32, pw: usize, pm: u64, desired: bool) {
         let (half, cw) = (self.half, self.cw());
         let dw = pw - half;
-        let col = q as usize * cw;
+        let col = self.column(q).start;
         self.live.clear();
         for w in 0..cw {
             let rows = self.x[col + w] & if w == pw { !pm } else { !0 };
@@ -542,7 +556,8 @@ impl Tableau {
 
     /// Multiplies the stabilizer rows selected by the first half of `mask`
     /// (bit `i` of word `w` selects stabilizer `64w + i`) column by column.
-    /// Calls `visit(q, x, z)` with the product's Pauli on every qubit and
+    /// Calls `visit(q, x, z)` with the product's Pauli on every qubit (in
+    /// storage order; the phase is a product over columns) and
     /// returns `true` if the product carries a −1 sign.
     ///
     /// The rows commute, so the product is Hermitian and its phase real.
@@ -582,7 +597,7 @@ impl Tableau {
             }
             let (x, z) = (xs & 1 == 1, zs & 1 == 1);
             e = e.wrapping_add(2 * (pairs & 1) + if x && z { 3 } else { 0 });
-            visit(c, x, z);
+            visit(self.qubit_at[c as usize], x, z);
         }
         debug_assert!(e & 1 == 0, "product of commuting rows is not Hermitian");
         e & 2 != 0
@@ -619,10 +634,10 @@ impl Tableau {
     /// Panics if `p` is on a different number of qubits.
     pub fn membership(&mut self, p: &PauliString) -> Membership {
         assert_eq!(p.n, self.n, "pauli width mismatch");
-        let (half, cw) = (self.half, self.cw());
+        let half = self.half;
         self.mask[..half].fill(0);
         for q in 0..self.n {
-            let base = q as usize * cw;
+            let base = self.column(q).start;
             // p's X anticommutes with a destabilizer's Z, p's Z with its X.
             if p.x_bit(q) {
                 for w in 0..half {
@@ -931,12 +946,32 @@ mod tests {
         t.touched.extend(0..t.n);
     }
 
-    /// Drives a tableau and the all-columns reference through the same
-    /// operations, comparing each measurement's outcome and the full
-    /// X/Z/sign state after it.
+    /// The reference SWAP: exchanges the two qubits' columns word by word
+    /// and marks both entangled, as the tableau did before SWAP relabeled.
+    fn swap_columns(t: &mut Tableau, a: u32, b: u32) {
+        if a == b {
+            return;
+        }
+        let (a, b, cw) = (t.col_of[a as usize], t.col_of[b as usize], t.cw());
+        let (xa, xb) = two_columns(&mut t.x, a, b, cw);
+        xa.swap_with_slice(xb);
+        let (za, zb) = two_columns(&mut t.z, a, b, cw);
+        za.swap_with_slice(zb);
+        t.entangle(a);
+        t.entangle(b);
+    }
+
+    /// Drives a tableau and a reference through the same operations; the
+    /// reference swaps by exchanging columns and collapses every column.
+    /// After each operation the two must hold the same generators per
+    /// qubit (every stabilizer and destabilizer, signs included), and on
+    /// sampled rows agree on `stabilizer` and `membership`; measurements
+    /// must agree on the outcome.
     struct Differential {
         t: Tableau,
         reference: Tableau,
+        /// Draws the sampled rows and signs of the per-operation checks.
+        state: u64,
         random: u32,
         determined: u32,
     }
@@ -946,6 +981,7 @@ mod tests {
             Differential {
                 t: Tableau::new(n),
                 reference: Tableau::new(n),
+                state: 0x9e37_79b9_7f4a_7c15 ^ u64::from(n),
                 random: 0,
                 determined: 0,
             }
@@ -954,6 +990,19 @@ mod tests {
         fn apply(&mut self, op: impl Fn(&mut Tableau)) {
             op(&mut self.t);
             op(&mut self.reference);
+            self.check("after a gate");
+        }
+
+        fn swap(&mut self, a: u32, b: u32) {
+            self.t.swap(a, b);
+            swap_columns(&mut self.reference, a, b);
+            self.check("after a swap");
+        }
+
+        fn reset(&mut self) {
+            self.t.reset();
+            self.reference.reset();
+            self.check("after a reset");
         }
 
         fn measure(&mut self, q: u32, desired: bool) {
@@ -961,17 +1010,34 @@ mod tests {
             let want = self.reference.measure_by(q, desired, all_columns);
             let n = self.t.n;
             assert_eq!(got, want, "n = {n}, qubit {q}");
-            assert!(
-                self.t.x == self.reference.x
-                    && self.t.z == self.reference.z
-                    && self.t.r == self.reference.r,
-                "n = {n}: tableau diverged after measuring qubit {q}"
-            );
+            self.check("after a measurement");
             if got.determined {
                 self.determined += 1;
             } else {
                 self.random += 1;
             }
+        }
+
+        fn check(&mut self, when: &str) {
+            let n = self.t.n;
+            let (t, reference) = (&mut self.t, &mut self.reference);
+            let same_columns = (0..n).all(|q| {
+                let (c, rc) = (t.column(q), reference.column(q));
+                t.x[c.clone()] == reference.x[rc.clone()] && t.z[c] == reference.z[rc]
+            });
+            assert!(
+                same_columns && t.r == reference.r,
+                "n = {n}: tableau diverged {when}"
+            );
+            self.state ^= self.state << 13;
+            self.state ^= self.state >> 7;
+            self.state ^= self.state << 17;
+            let i = (self.state % u64::from(n)) as u32;
+            let mut g = reference.stabilizer(i);
+            assert_eq!(t.stabilizer(i), g, "n = {n}: stabilizer {i} {when}");
+            g.neg ^= self.state & 1 << 40 != 0;
+            let want = reference.membership(&g);
+            assert_eq!(t.membership(&g), want, "n = {n}: membership of {g} {when}");
         }
     }
 
@@ -992,6 +1058,7 @@ mod tests {
                     rng.gen_range(0..n)
                 }
             };
+            let mut swaps = 0;
             for _ in 0..6000 {
                 let (a, b) = (qubit(&mut rng), qubit(&mut rng));
                 match rng.gen_range(0..14) {
@@ -1003,13 +1070,17 @@ mod tests {
                     5 => d.apply(|t| t.z(a)),
                     6 if a != b => d.apply(|t| t.cnot(a, b)),
                     7 if a != b => d.apply(|t| t.cz(a, b)),
-                    8 => d.apply(|t| t.swap(a, b)),
-                    9 if rng.gen_range(0..40) == 0 => d.apply(Tableau::reset),
+                    8 => {
+                        d.swap(a, b);
+                        swaps += 1;
+                    }
+                    9 if rng.gen_range(0..40) == 0 => d.reset(),
                     6..=9 => d.apply(|t| t.h(a)),
                     _ => d.measure(a, rng.gen_bool(0.5)),
                 }
             }
             assert!(d.random > 0 && d.determined > 0, "n = {n}: both kinds");
+            assert!(swaps > 0, "n = {n}: the stream swaps");
         }
     }
 
@@ -1038,11 +1109,33 @@ mod tests {
             d.apply(|t| {
                 t.h(0);
                 t.cnot(0, 1);
-                t.swap(a, b);
             });
+            d.swap(a, b);
             d.measure(0, true);
             d.measure(2, false);
             assert_eq!((d.random, d.determined), (1, 1));
+        }
+    }
+
+    #[test]
+    fn swap_chain_then_entangle_and_measure() {
+        // Qubits travel through several relabels before and after they
+        // entangle; the measured qubit's column is never its own.
+        for desired in [false, true] {
+            let mut d = Differential::new(70);
+            for (a, b) in [(0, 65), (65, 3), (3, 3), (3, 69)] {
+                d.swap(a, b);
+            }
+            d.apply(|t| {
+                t.h(69);
+                t.cnot(69, 0);
+                t.cz(0, 64);
+            });
+            d.swap(0, 64);
+            d.measure(64, desired);
+            d.measure(69, !desired);
+            d.measure(0, desired);
+            assert_eq!((d.random, d.determined), (1, 2));
         }
     }
 
@@ -1052,14 +1145,12 @@ mod tests {
         d.apply(|t| {
             t.h(0);
             t.cnot(0, 1);
-            t.swap(1, 2);
         });
+        d.swap(1, 2);
         d.measure(0, true);
         for q in 0..3 {
-            d.apply(|t| {
-                t.reset();
-                t.h(q);
-            });
+            d.reset();
+            d.apply(|t| t.h(q));
             d.measure(q, false);
             d.apply(|t| t.h(q));
             d.measure(q, true);

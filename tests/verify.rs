@@ -298,7 +298,7 @@ fn a_multi_qubit_highway_run_beside_a_boxed_in_qubit_still_routes() {
 /// and each labelled with the ROADMAP item that owns its fix. The sweep
 /// asserts that its failing set *equals* this list: a new miscompile fails
 /// it, and so does a fixed one until its entry is deleted here.
-const KNOWN_SMALL_DEVICE_MISCOMPILES: [(usize, &str, &str, u32, &str); 56] = [
+const KNOWN_SMALL_DEVICE_MISCOMPILES: [(usize, &str, &str, u32, &str); 91] = [
     (2, "square(6,2,2)", "bv", 14, "ROADMAP item 1"),
     (2, "square(6,2,2)", "bv", 20, "ROADMAP item 1"),
     (2, "square(6,2,2)", "bv", 36, "ROADMAP item 1"),
@@ -397,14 +397,134 @@ const KNOWN_SMALL_DEVICE_MISCOMPILES: [(usize, &str, &str, u32, &str); 56] = [
         39,
         "ROADMAP item 1",
     ),
+    (3, "heavy-square(8,2,2)", "bv", 44, "ROADMAP item 1"),
+    (3, "heavy-square(8,2,2)", "bv", 46, "ROADMAP item 1"),
+    (3, "heavy-square(8,2,2)", "bv", 52, "ROADMAP item 1"),
+    (3, "heavy-square(8,2,2)", "bv", 58, "ROADMAP item 1"),
+    (3, "heavy-square(8,2,2)", "bv", 59, "ROADMAP item 1"),
+    (3, "heavy-square(8,2,2)", "bv", 65, "ROADMAP item 1"),
+    (3, "heavy-square(8,2,2)", "bv", 66, "ROADMAP item 1"),
+    (3, "heavy-square(8,2,2)", "bv", 67, "ROADMAP item 1"),
+    (3, "heavy-square(8,2,2)", "bv", 68, "ROADMAP item 1"),
+    (3, "heavy-square(8,2,2)", "bv", 118, "ROADMAP item 1"),
+    (3, "heavy-square(8,2,2)", "bv", 123, "ROADMAP item 1"),
+    (3, "heavy-square(8,2,2)", "bv", 126, "ROADMAP item 1"),
+    (3, "heavy-square(8,2,2)", "bv", 131, "ROADMAP item 1"),
+    (3, "heavy-square(8,2,2)", "bv", 132, "ROADMAP item 1"),
+    (3, "heavy-square(8,2,2)", "bv", 133, "ROADMAP item 1"),
+    (3, "heavy-square(8,2,2)", "bv", 139, "ROADMAP item 1"),
+    (3, "heavy-square(8,2,2)", "bv", 140, "ROADMAP item 1"),
+    (3, "heavy-square(8,2,2)", "bv", 141, "ROADMAP item 1"),
+    (3, "heavy-square(8,2,2)", "bv", 142, "ROADMAP item 1"),
+    (3, "heavy-square(8,2,2)", "bv", 145, "ROADMAP item 1"),
+    (3, "heavy-square(8,2,2)", "bv", 148, "ROADMAP item 1"),
+    (
+        3,
+        "heavy-square(8,2,2)",
+        "rand-clifford",
+        37,
+        "ROADMAP item 1",
+    ),
+    (
+        3,
+        "heavy-square(8,2,2)",
+        "rand-clifford",
+        42,
+        "ROADMAP item 1",
+    ),
+    (
+        3,
+        "heavy-square(8,2,2)",
+        "rand-clifford",
+        61,
+        "ROADMAP item 1",
+    ),
+    (
+        3,
+        "heavy-square(8,2,2)",
+        "rand-clifford",
+        73,
+        "ROADMAP item 1",
+    ),
+    (
+        3,
+        "heavy-square(8,2,2)",
+        "rand-clifford",
+        75,
+        "ROADMAP item 1",
+    ),
+    (
+        3,
+        "heavy-square(8,2,2)",
+        "rand-clifford",
+        81,
+        "ROADMAP item 1",
+    ),
+    (
+        3,
+        "heavy-square(8,2,2)",
+        "rand-clifford",
+        98,
+        "ROADMAP item 1",
+    ),
+    (
+        3,
+        "heavy-square(8,2,2)",
+        "rand-clifford",
+        100,
+        "ROADMAP item 1",
+    ),
+    (
+        3,
+        "heavy-square(8,2,2)",
+        "rand-clifford",
+        111,
+        "ROADMAP item 1",
+    ),
+    (
+        3,
+        "heavy-square(8,2,2)",
+        "rand-clifford",
+        120,
+        "ROADMAP item 1",
+    ),
+    (
+        3,
+        "heavy-square(8,2,2)",
+        "rand-clifford",
+        131,
+        "ROADMAP item 1",
+    ),
+    (
+        3,
+        "heavy-square(8,2,2)",
+        "rand-clifford",
+        136,
+        "ROADMAP item 1",
+    ),
+    (
+        3,
+        "heavy-square(8,2,2)",
+        "rand-clifford",
+        138,
+        "ROADMAP item 1",
+    ),
+    (
+        3,
+        "heavy-square(8,2,2)",
+        "rand-clifford",
+        142,
+        "ROADMAP item 1",
+    ),
 ];
 
 /// Every Clifford family at every width from 2 to the data-qubit count:
 /// on three small square devices at the default aggregation threshold (3)
-/// and at 2 and 5 (3 × 519 compile + verify pairs), and on the hexagon,
-/// heavy-square and heavy-hexagon `(6, 2, 2)` devices at 3 (621 pairs).
-/// Never shrink the sweep to drop a failing width; update the known list
-/// instead.
+/// and at 2 and 5 (3 × 519 compile + verify pairs), on the hexagon,
+/// heavy-square and heavy-hexagon `(6, 2, 2)` devices at 3 (621 pairs),
+/// and on the heavy-square `(8, 2, 2)` recalibration device at 3 (441
+/// pairs). Never shrink the sweep to drop a failing width; update the
+/// known list instead.
 #[test]
 fn small_device_sweep_fails_exactly_the_known_miscompiles() {
     let structure = |s| DeviceSpec::new(ChipletSpec::new(s, 6, 2, 2));
@@ -425,6 +545,11 @@ fn small_device_sweep_fails_exactly_the_known_miscompiles() {
         (
             "heavy-hexagon(6,2,2)",
             structure(CouplingStructure::HeavyHexagon),
+            &[3],
+        ),
+        (
+            "heavy-square(8,2,2)",
+            DeviceSpec::new(ChipletSpec::new(CouplingStructure::HeavySquare, 8, 2, 2)),
             &[3],
         ),
     ];
@@ -455,7 +580,7 @@ fn small_device_sweep_fails_exactly_the_known_miscompiles() {
     }
     assert_eq!(
         cases,
-        3 * 519 + 621,
+        3 * 519 + 621 + 441,
         "the sweep covers every family at every width"
     );
     let known: Vec<(usize, &str, &str, u32)> = KNOWN_SMALL_DEVICE_MISCOMPILES
