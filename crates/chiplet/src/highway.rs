@@ -18,6 +18,7 @@ use std::collections::{HashMap, HashSet};
 
 use crate::defect::DefectMap;
 use crate::ids::{ChipletId, LinkKind, PhysQubit};
+use crate::kernels::{CsrGraph, RoutingGraph};
 use crate::pathfind::shortest_path_avoiding;
 use crate::topology::Topology;
 
@@ -47,22 +48,6 @@ pub struct HighwayEdge {
     pub kind: HighwayEdgeKind,
 }
 
-impl HighwayEdge {
-    /// The endpoint opposite to `q`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is neither endpoint.
-    pub(crate) fn other(&self, q: PhysQubit) -> PhysQubit {
-        if q == self.a {
-            self.b
-        } else {
-            assert_eq!(q, self.b, "qubit {q} is not on this edge");
-            self.a
-        }
-    }
-}
-
 /// The allocated highway: which qubits are ancillary, and the graph along
 /// which GHZ states are grown.
 ///
@@ -85,11 +70,9 @@ pub struct HighwayLayout {
     dead: Vec<bool>,
     nodes: Vec<PhysQubit>,
     edges: Vec<HighwayEdge>,
-    /// CSR bounds over `adj_edges`: the edge indices incident to qubit `q`
-    /// live in `adj_edges[adj_starts[q]..adj_starts[q + 1]]`, ascending.
-    adj_starts: Vec<u32>,
-    /// Flat indices into `edges`, grouped by incident qubit.
-    adj_edges: Vec<u32>,
+    /// The mesh as a kernel-layer graph; each edge id is an index into
+    /// `edges`.
+    graph: CsrGraph,
     crossroads: Vec<PhysQubit>,
     num_qubits: u32,
     /// Total dead qubits (after pruning no dead qubit is a highway node,
@@ -98,29 +81,10 @@ pub struct HighwayLayout {
     num_dead_data: u32,
 }
 
-/// Flattens per-edge incidence into CSR arrays: for each qubit, the
-/// indices of `edges` touching it, ascending (edges are scanned in index
-/// order, so per-row order is insertion order — identical to the former
-/// `Vec<Vec<u32>>` push order).
-fn build_adj(n: usize, edges: &[HighwayEdge]) -> (Vec<u32>, Vec<u32>) {
-    let mut counts = vec![0u32; n + 1];
-    for e in edges {
-        counts[e.a.index() + 1] += 1;
-        counts[e.b.index() + 1] += 1;
-    }
-    for i in 0..n {
-        counts[i + 1] += counts[i];
-    }
-    let adj_starts = counts.clone();
-    let mut cursor = counts;
-    let mut adj_edges = vec![0u32; adj_starts[n] as usize];
-    for (idx, e) in edges.iter().enumerate() {
-        for q in [e.a, e.b] {
-            adj_edges[cursor[q.index()] as usize] = idx as u32;
-            cursor[q.index()] += 1;
-        }
-    }
-    (adj_starts, adj_edges)
+/// The CSR graph of `edges` over `n` qubits, edge ids indexing `edges`.
+fn mesh_graph(n: usize, edges: &[HighwayEdge]) -> CsrGraph {
+    let endpoints: Vec<(PhysQubit, PhysQubit)> = edges.iter().map(|e| (e.a, e.b)).collect();
+    CsrGraph::from_edges(n, &endpoints)
 }
 
 impl HighwayLayout {
@@ -298,7 +262,7 @@ impl HighwayLayout {
             .map(PhysQubit)
             .filter(|q| is_highway[q.index()])
             .collect();
-        let (adj_starts, adj_edges) = build_adj(n, &edges);
+        let graph = mesh_graph(n, &edges);
         let mut crossroads: Vec<PhysQubit> = crossroad_set.into_iter().collect();
         crossroads.sort();
 
@@ -307,8 +271,7 @@ impl HighwayLayout {
             dead: vec![false; n],
             nodes,
             edges,
-            adj_starts,
-            adj_edges,
+            graph,
             crossroads,
             num_qubits: topo.num_qubits(),
             num_dead_data: 0,
@@ -357,9 +320,7 @@ impl HighwayLayout {
         layout.num_dead_data += num_dead;
         layout.nodes.retain(|q| layout.is_highway[q.index()]);
         layout.crossroads.retain(|q| layout.is_highway[q.index()]);
-        let (adj_starts, adj_edges) = build_adj(n, &layout.edges);
-        layout.adj_starts = adj_starts;
-        layout.adj_edges = adj_edges;
+        layout.graph = mesh_graph(n, &layout.edges);
         layout
     }
 
@@ -383,23 +344,20 @@ impl HighwayLayout {
         self.dead[q.index()]
     }
 
-    /// The edges incident to highway qubit `q` — one contiguous CSR slice.
-    pub(crate) fn incident_edges(&self, q: PhysQubit) -> impl Iterator<Item = &HighwayEdge> {
-        let lo = self.adj_starts[q.index()] as usize;
-        let hi = self.adj_starts[q.index() + 1] as usize;
-        self.adj_edges[lo..hi]
-            .iter()
-            .map(|&i| &self.edges[i as usize])
+    /// The highway mesh as a kernel-layer graph: rows sorted by neighbor
+    /// id, and each edge id an index into [`HighwayLayout::edges`].
+    pub fn graph(&self) -> &CsrGraph {
+        &self.graph
     }
 
-    /// Highway-graph neighbors of `q`.
+    /// Highway-graph neighbors of `q`, ascending.
     pub fn highway_neighbors(&self, q: PhysQubit) -> impl Iterator<Item = PhysQubit> + '_ {
-        self.incident_edges(q).map(move |e| e.other(q))
+        self.graph.neighbors(q).iter().copied()
     }
 
     /// The edge between two highway qubits, if any.
     pub fn edge_between(&self, a: PhysQubit, b: PhysQubit) -> Option<&HighwayEdge> {
-        self.incident_edges(a).find(|e| e.a == b || e.b == b)
+        self.graph.edge_id(a, b).map(|i| &self.edges[i as usize])
     }
 
     /// Number of ancillary qubits.
@@ -667,7 +625,8 @@ mod tests {
         let (_, hw) = square_hw(7, 1, 1, 1);
         // Around the single crossroad, corridor neighbors must be direct.
         let x = hw.crossroads()[0];
-        for e in hw.incident_edges(x) {
+        for nb in hw.highway_neighbors(x) {
+            let e = hw.edge_between(x, nb).expect("neighbors share an edge");
             assert!(
                 !matches!(e.kind, HighwayEdgeKind::Bridge { .. }),
                 "crossroad {x} should have no incident bridges"
@@ -697,9 +656,10 @@ mod tests {
         let (_, hw) = square_hw(7, 1, 2, 1);
         let p = hw.pruned(&DefectMap::default());
         assert_eq!(p.nodes, hw.nodes);
-        assert_eq!(p.edges.len(), hw.edges.len());
-        assert_eq!(p.adj_starts, hw.adj_starts);
-        assert_eq!(p.adj_edges, hw.adj_edges);
+        assert_eq!(p.edges, hw.edges);
+        for &q in hw.nodes() {
+            assert_eq!(p.graph.neighbors(q), hw.graph.neighbors(q));
+        }
         assert_eq!(p.num_data_qubits(), hw.num_data_qubits());
     }
 
@@ -707,13 +667,13 @@ mod tests {
     fn dead_highway_node_leaves_nodes_and_edges() {
         let (_, hw) = square_hw(7, 1, 2, 1);
         let dead = hw.nodes()[hw.nodes().len() / 2];
-        let incident = hw.incident_edges(dead).count();
+        let incident = hw.highway_neighbors(dead).count();
         assert!(incident > 0);
         let p = hw.pruned(&DefectMap::new().with_dead_qubit(dead));
         assert!(!p.is_highway(dead));
         assert!(p.is_dead(dead));
         assert!(!p.nodes().contains(&dead));
-        assert_eq!(p.incident_edges(dead).count(), 0);
+        assert_eq!(p.highway_neighbors(dead).count(), 0);
         assert_eq!(p.edges().len(), hw.edges().len() - incident);
         // The dead ex-highway qubit must not resurface as a data qubit.
         assert!(!p.data_qubits().contains(&dead));
@@ -763,24 +723,26 @@ mod tests {
     fn csr_adj_matches_edge_incidence() {
         let (_, hw) = square_hw(8, 2, 2, 2);
         for &q in hw.nodes() {
-            let via_adj: Vec<HighwayEdge> = hw.incident_edges(q).copied().collect();
-            let via_scan: Vec<HighwayEdge> = hw
+            let mut via_scan: Vec<PhysQubit> = hw
                 .edges()
                 .iter()
                 .filter(|e| e.a == q || e.b == q)
-                .copied()
+                .map(|e| if e.a == q { e.b } else { e.a })
                 .collect();
-            assert_eq!(via_adj, via_scan, "CSR incidence diverged at {q}");
+            via_scan.sort();
+            let via_graph: Vec<PhysQubit> = hw.highway_neighbors(q).collect();
+            assert_eq!(via_graph, via_scan, "CSR row diverged at {q}");
         }
     }
 
     #[test]
-    fn edge_between_and_other_work() {
-        let (_, hw) = square_hw(6, 1, 1, 1);
-        let e = hw.edges()[0];
-        assert_eq!(e.other(e.a), e.b);
-        let found = hw.edge_between(e.a, e.b).unwrap();
-        assert_eq!(found.a, e.a);
-        assert!(hw.highway_neighbors(e.a).any(|n| n == e.b));
+    fn edge_between_looks_up_edge_ids() {
+        let (_, hw) = square_hw(8, 2, 2, 2);
+        for (i, e) in hw.edges().iter().enumerate() {
+            assert_eq!(hw.graph().edge_id(e.a, e.b), Some(i as u32));
+            assert_eq!(hw.edge_between(e.b, e.a), Some(e));
+        }
+        let far = (hw.nodes()[0], *hw.nodes().last().unwrap());
+        assert!(hw.edge_between(far.0, far.1).is_none());
     }
 }

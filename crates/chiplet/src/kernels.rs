@@ -1,15 +1,14 @@
 //! The shared search-kernel layer of the routing substrate.
 //!
-//! Every graph walk in the stack — the local router's A*, the entrance
-//! table's region-restricted BFS, the GHZ tree coloring, the highway claim
-//! engine's lazy Dial search, the SABRE baseline's hop table — used to be a
-//! hand-rolled loop over its own adjacency representation. This module is
-//! the one audited home for all of them:
+//! Every search over a device graph — the local router's A*, the entrance
+//! table's region-restricted BFS, the highway claim engine's lazy Dial
+//! search, the SABRE baseline's hop table — used to be a hand-rolled loop
+//! over its own adjacency representation. This module is the one audited
+//! home for all of them:
 //!
 //! * [`RoutingGraph`] is the flat adjacency contract every kernel runs on
-//!   (implemented by [`Topology`](crate::Topology)'s CSR rows, by
-//!   [`CsrGraph`] for derived graphs such as the highway mesh, and by
-//!   [`AdjacencyView`] for small per-call adjacency lists);
+//!   (implemented by [`Topology`](crate::Topology)'s CSR rows and by
+//!   [`CsrGraph`] for derived graphs such as the highway mesh);
 //! * [`BfsKernel`] is the generation-stamped breadth-first search;
 //! * [`astar_route`] is the node-weighted A* used for data-region routing,
 //!   on a monotone bucket queue;
@@ -56,11 +55,9 @@ pub trait RoutingGraph {
 
 /// A compressed-sparse-row graph built from an undirected edge list, for
 /// derived graphs that are not the device topology itself (the highway
-/// mesh inside [`HighwaySkeleton`]). Rows are sorted by neighbor id, and
-/// each adjacency slot remembers the originating edge index, so edge
-/// payloads stay addressable in O(log degree).
-///
-/// [`HighwaySkeleton`]: ../../mech_highway/struct.HighwaySkeleton.html
+/// mesh of a [`HighwayLayout`](crate::HighwayLayout)). Rows are sorted by
+/// neighbor id, and each adjacency slot remembers the originating edge
+/// index, so edge payloads stay addressable in O(log degree).
 ///
 /// # Example
 ///
@@ -149,24 +146,6 @@ impl RoutingGraph for CsrGraph {
         let lo = self.starts[q.index()] as usize;
         let hi = self.starts[q.index() + 1] as usize;
         &self.targets[lo..hi]
-    }
-}
-
-/// Borrowed per-node adjacency lists as a [`RoutingGraph`], for small
-/// graphs assembled on the fly (the GHZ preparation's claimed tree).
-#[derive(Debug, Clone, Copy)]
-pub struct AdjacencyView<'a> {
-    /// `lists[q]` = neighbors of node `q`.
-    pub lists: &'a [Vec<PhysQubit>],
-}
-
-impl RoutingGraph for AdjacencyView<'_> {
-    fn num_nodes(&self) -> usize {
-        self.lists.len()
-    }
-
-    fn neighbors(&self, q: PhysQubit) -> &[PhysQubit] {
-        &self.lists[q.index()]
     }
 }
 
@@ -742,18 +721,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn adjacency_view_serves_small_graphs() {
-        let lists = vec![
-            vec![PhysQubit(1)],
-            vec![PhysQubit(0), PhysQubit(2)],
-            vec![PhysQubit(1)],
-        ];
-        let view = AdjacencyView { lists: &lists };
-        let mut bfs = BfsKernel::default();
-        bfs.run(&view, PhysQubit(0), |_| true, |_, _| BfsControl::Expand);
-        assert_eq!(bfs.distance(PhysQubit(2)), Some(2));
     }
 }

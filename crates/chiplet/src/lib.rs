@@ -40,9 +40,7 @@ pub use cost::CostModel;
 pub use defect::DefectMap;
 pub use highway::{HighwayEdge, HighwayEdgeKind, HighwayLayout};
 pub use ids::{ChipletId, LinkKind, PhysQubit};
-pub use kernels::{
-    astar_route, AdjacencyView, BfsControl, BfsKernel, CsrGraph, DialSearch, RoutingGraph,
-};
+pub use kernels::{astar_route, BfsControl, BfsKernel, CsrGraph, DialSearch, RoutingGraph};
 pub use pathfind::{bfs_distances, shortest_path_avoiding};
 pub use phys::{OpCounts, PhysCircuit, PhysOp, PhysOpKind};
 pub use render::render_layout;

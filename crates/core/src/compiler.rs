@@ -64,9 +64,10 @@ pub struct CompileResult {
     /// Two-qubit gates executed off-highway.
     pub regular_gates: u64,
     /// Full highway-claim searches run by the one-search claim engine
-    /// (diagnostic: the engine settles one Dijkstra per owner-state change
-    /// instead of one per candidate entrance, so this stays well below the
-    /// number of entrance claims attempted).
+    /// (diagnostic: one search serves every candidate entrance of a group,
+    /// and the group's own corridor growth is repaired in place, so a tried
+    /// group costs one search unless another group's claim or a release
+    /// intervenes).
     pub claim_searches: u64,
     /// Highway-claim attempts resolved without a search: settled results
     /// reused across candidates, trivial hub self-claims, and
@@ -667,10 +668,10 @@ impl<'a> CompileSession<'a> {
         // hub entrance with maximal reuse. The occupancy's one-search claim
         // engine settles a single Dijkstra from the hub entrance and serves
         // every candidate below from it: candidates the settled costs
-        // leave unreached are rejected in O(1) and winning paths
-        // reconstruct from the same search, re-searching only when a claim
-        // actually grows the corridor — so a component costs at most one
-        // search, instead of one per candidate entrance.
+        // leave unreached are rejected in O(1), winning paths reconstruct
+        // from the same search, and a claim that grows the group's own
+        // corridor repairs the search in place — so the group costs one
+        // search unless another group's claim or a release intervenes.
         self.comps.clear();
         for c in &group.components {
             let pos = self.mapping.phys(c.other);
@@ -763,7 +764,7 @@ impl<'a> CompileSession<'a> {
         for &q in nodes {
             self.pc.advance(q, horizon);
         }
-        let prep = match self.config.ghz_style {
+        let live = match self.config.ghz_style {
             crate::GhzStyle::MeasurementBased => prepare_ghz_with(
                 &mut self.pc,
                 device.topology(),
@@ -779,6 +780,7 @@ impl<'a> CompileSession<'a> {
                 device.layout(),
                 nodes,
                 edges,
+                &mut self.ghz_scratch,
             ),
         };
 
@@ -789,7 +791,7 @@ impl<'a> CompileSession<'a> {
                 hub_data: hub_choice.access,
                 conjugated,
             },
-            prep.live,
+            live,
         );
         if conjugated {
             self.pc.record_gate1(hub_choice.access, SemGate1::H);

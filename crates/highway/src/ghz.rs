@@ -10,32 +10,21 @@
 //!    for interleaved edges. Edges sharing a qubit serialize; everything
 //!    else runs concurrently, so this stage has constant depth in the path
 //!    length;
-//! 3. alternate qubits (one color class of the claimed tree) are measured,
-//!    collapsing the rest into a GHZ state after Pauli corrections (free,
-//!    but the survivors wait for the classical outcomes);
+//! 3. alternate qubits (the odd-depth class of the claimed tree's
+//!    breadth-first walk) are measured, collapsing the rest into a GHZ
+//!    state after Pauli corrections (free, but the survivors wait for the
+//!    classical outcomes);
 //! 4. measured qubits that must serve as highway entrances are re-entangled
 //!    with one CNOT from an unmeasured neighbor (paper §5).
-
-use std::collections::{HashMap, HashSet, VecDeque};
+//!
+//! Both preparations walk the claimed tree once, with [`GhzScratch`]'s
+//! breadth-first walk, and entangle every pair through one routine that
+//! picks the edge's mechanism.
 
 use mech_chiplet::{
-    AdjacencyView, BfsControl, BfsKernel, HighwayEdgeKind, HighwayLayout, PhysCircuit, PhysQubit,
-    QubitSet, SemGate1, SemGate2, SemPauli, StampMap, Topology,
+    HighwayEdgeKind, HighwayLayout, PhysCircuit, PhysQubit, QubitSet, SemGate1, SemGate2, SemPauli,
+    StampMap, Topology,
 };
-
-/// The result of a GHZ preparation: which claimed qubits stayed in the
-/// entangled state and when it became usable.
-#[derive(Debug, Clone)]
-pub struct GhzPrep {
-    /// Claimed qubits still carrying the GHZ state (including re-entangled
-    /// entrances).
-    pub live: Vec<PhysQubit>,
-    /// Claimed qubits consumed by the cluster→GHZ measurement (and not
-    /// re-entangled).
-    pub measured: Vec<PhysQubit>,
-    /// Time at which the GHZ state is ready on every live qubit.
-    pub ready_at: u64,
-}
 
 /// Prepares a GHZ state across `nodes` with the *naive CNOT chain* (paper
 /// Fig. 1a): a breadth-first cascade of CNOTs along the claimed tree. No
@@ -43,6 +32,8 @@ pub struct GhzPrep {
 /// with the tree radius — this is the scheme the paper's constant-depth
 /// preparation (Fig. 5) replaces, kept here for the ablation
 /// (`CompilerConfig::ghz_style`).
+///
+/// Returns the live qubits: all of `nodes`.
 ///
 /// # Panics
 ///
@@ -53,7 +44,8 @@ pub fn prepare_ghz_chain(
     layout: &HighwayLayout,
     nodes: &[PhysQubit],
     edges: &[(PhysQubit, PhysQubit)],
-) -> GhzPrep {
+    s: &mut GhzScratch,
+) -> Vec<PhysQubit> {
     assert!(
         !nodes.is_empty(),
         "GHZ preparation needs at least one qubit"
@@ -61,84 +53,110 @@ pub fn prepare_ghz_chain(
     let root = nodes[0];
     pc.one_qubit(root); // H on the root; the rest stay |0⟩.
     pc.record_gate1(root, SemGate1::H);
-
-    // BFS cascade: entangle outward from the root along claimed edges.
-    let adjacency: HashMap<PhysQubit, Vec<PhysQubit>> = {
-        let mut m: HashMap<PhysQubit, Vec<PhysQubit>> = HashMap::new();
-        for &(a, b) in edges {
-            m.entry(a).or_default().push(b);
-            m.entry(b).or_default().push(a);
-        }
-        m
-    };
-    let mut seen: HashSet<PhysQubit> = HashSet::from([root]);
-    let mut queue = VecDeque::from([root]);
-    while let Some(q) = queue.pop_front() {
-        for nb in adjacency.get(&q).into_iter().flatten() {
-            if !seen.insert(*nb) {
-                continue;
-            }
-            let edge = layout
-                .edge_between(q, *nb)
-                .unwrap_or_else(|| panic!("claimed edge {q}-{nb} is not a highway edge"));
-            pc.record_gate2(SemGate2::Cnot, q, *nb);
-            match edge.kind {
-                HighwayEdgeKind::Direct | HighwayEdgeKind::Cross => {
-                    pc.two_qubit(topo, q, *nb);
-                }
-                HighwayEdgeKind::Bridge { via } => {
-                    pc.bridge(topo, q, via, *nb);
-                }
-            }
-            queue.push_back(*nb);
-        }
+    s.walk(topo.num_qubits() as usize, nodes, edges);
+    for &(parent, child) in &s.tree {
+        pc.record_gate2(SemGate2::Cnot, parent, child);
+        entangle(pc, topo, layout, parent, child);
     }
-    assert_eq!(
-        seen.len(),
-        nodes.len(),
-        "claimed edges must connect all nodes"
-    );
+    nodes.to_vec()
+}
 
-    let ready_at = nodes.iter().map(|&q| pc.time(q)).max().unwrap_or(0);
-    GhzPrep {
-        live: nodes.to_vec(),
-        measured: Vec::new(),
-        ready_at,
+/// Entangles highway neighbors `a` and `b` by the mechanism of the edge
+/// between them: one CNOT (`a` controls) over a direct or cross-chip edge,
+/// a bridge gate through the interval qubit over a bridge edge.
+///
+/// # Panics
+///
+/// Panics if `a`–`b` is not a highway edge.
+fn entangle(
+    pc: &mut PhysCircuit,
+    topo: &Topology,
+    layout: &HighwayLayout,
+    a: PhysQubit,
+    b: PhysQubit,
+) {
+    let edge = layout
+        .edge_between(a, b)
+        .unwrap_or_else(|| panic!("claimed edge {a}-{b} is not a highway edge"));
+    match edge.kind {
+        HighwayEdgeKind::Direct | HighwayEdgeKind::Cross => {
+            pc.two_qubit(topo, a, b);
+        }
+        HighwayEdgeKind::Bridge { via } => {
+            pc.bridge(topo, a, via, b);
+        }
     }
 }
 
-/// Reusable workspace for [`prepare_ghz_with`]: adjacency lists, color stamps
-/// and work queues kept alive across the many preparations of one
-/// compilation, so each prep allocates only its returned `live` list.
+/// Reusable workspace for both GHZ preparations: the claimed tree's
+/// adjacency, its breadth-first walk, edge colors and work lists, kept
+/// alive across the many preparations of one compilation, so each prep
+/// allocates only its returned live list.
 #[derive(Debug, Clone, Default)]
 pub struct GhzScratch {
-    /// `adj[q]` = claimed-tree neighbors of `q`. Only claimed nodes are
-    /// touched; their lists are cleared at the start of each prep.
+    /// `adj[q]` = claimed neighbors of `q`, in claimed-edge order. Only
+    /// claimed nodes are touched; their lists are cleared by each walk.
     adj: Vec<Vec<PhysQubit>>,
-    /// Tree 2-coloring.
-    color: StampMap<u8>,
+    /// Breadth-first depth of every node the last walk reached.
+    depth: StampMap<u32>,
+    /// The last walk's `(parent, child)` pairs in discovery order; the
+    /// children in this order are also the walk's FIFO queue.
+    tree: Vec<(PhysQubit, PhysQubit)>,
     /// Used-color bitmask per node for the greedy edge coloring.
     node_colors: StampMap<u16>,
     edge_color: Vec<u8>,
-    /// Shared stamped-BFS kernel driving the tree coloring.
-    bfs: BfsKernel,
     to_measure: Vec<PhysQubit>,
     reentangle: Vec<(PhysQubit, PhysQubit)>,
 }
 
 impl GhzScratch {
-    fn begin(&mut self, n: usize, nodes: &[PhysQubit]) {
+    /// Walks the claimed graph breadth-first from `nodes[0]`: neighbors in
+    /// claimed-edge order, FIFO, each node marked when it is enqueued.
+    /// Fills `tree` and `depth`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `edges` do not connect `nodes`.
+    fn walk(&mut self, n: usize, nodes: &[PhysQubit], edges: &[(PhysQubit, PhysQubit)]) {
         if self.adj.len() < n {
             self.adj.resize_with(n, Vec::new);
         }
         for &q in nodes {
             self.adj[q.index()].clear();
         }
-        self.color.begin(n);
-        self.node_colors.begin(n);
-        self.edge_color.clear();
-        self.to_measure.clear();
-        self.reentangle.clear();
+        for &(a, b) in edges {
+            self.adj[a.index()].push(b);
+            self.adj[b.index()].push(a);
+        }
+        self.depth.begin(n);
+        self.tree.clear();
+        let mut q = nodes[0];
+        self.depth.insert(q, 0);
+        let mut head = 0;
+        loop {
+            let d = self.depth.get(q).expect("enqueued nodes carry a depth") + 1;
+            for &nb in &self.adj[q.index()] {
+                if self.depth.get(nb).is_none() {
+                    self.depth.insert(nb, d);
+                    self.tree.push((q, nb));
+                }
+            }
+            let Some(&(_, next)) = self.tree.get(head) else {
+                break;
+            };
+            head += 1;
+            q = next;
+        }
+        assert_eq!(
+            self.tree.len() + 1,
+            nodes.len(),
+            "claimed edges must connect all claimed nodes"
+        );
+    }
+
+    /// `true` if the last walk reached `q` at an odd depth.
+    fn odd(&self, q: PhysQubit) -> bool {
+        self.depth.get(q).is_some_and(|d| d & 1 == 1)
     }
 
     fn mark_node_color(&mut self, q: PhysQubit, c: u8) {
@@ -152,9 +170,9 @@ impl GhzScratch {
 /// [`HighwayOccupancy`](crate::HighwayOccupancy)). Qubits in `entrances`
 /// are kept usable: if the coloring measures them, they are re-entangled.
 ///
-/// Returns which qubits remain live and when. Emits all operations into
-/// `pc`. `s` is reusable workspace: the compiler keeps one per session,
-/// so per-group preparations stay allocation-free.
+/// Returns the qubits that remain live, re-entangled entrances last.
+/// Emits all operations into `pc`. `s` is reusable workspace: the compiler
+/// keeps one per session, so per-group preparations stay allocation-free.
 ///
 /// # Panics
 ///
@@ -168,7 +186,7 @@ pub fn prepare_ghz_with(
     edges: &[(PhysQubit, PhysQubit)],
     entrances: &impl QubitSet,
     s: &mut GhzScratch,
-) -> GhzPrep {
+) -> Vec<PhysQubit> {
     assert!(
         !nodes.is_empty(),
         "GHZ preparation needs at least one qubit"
@@ -181,14 +199,14 @@ pub fn prepare_ghz_with(
 
     if nodes.len() == 1 {
         pc.record_gate1(nodes[0], SemGate1::H);
-        return GhzPrep {
-            live: nodes.to_vec(),
-            measured: Vec::new(),
-            ready_at: pc.time(nodes[0]),
-        };
+        return nodes.to_vec();
     }
 
-    s.begin(topo.num_qubits() as usize, nodes);
+    let n = topo.num_qubits() as usize;
+    s.node_colors.begin(n);
+    s.edge_color.clear();
+    s.to_measure.clear();
+    s.reentangle.clear();
 
     // Cluster state: entangle along each claimed edge. Ops are scheduled
     // ASAP in emission order, so edges are emitted color class by color
@@ -205,61 +223,22 @@ pub fn prepare_ghz_with(
     let max_color = s.edge_color.iter().copied().max().unwrap_or(0);
     for color in 0..=max_color {
         for (i, &(a, b)) in edges.iter().enumerate() {
-            if s.edge_color[i] != color {
-                continue;
-            }
-            let edge = layout
-                .edge_between(a, b)
-                .unwrap_or_else(|| panic!("claimed edge {a}-{b} is not a highway edge"));
-            match edge.kind {
-                HighwayEdgeKind::Direct | HighwayEdgeKind::Cross => {
-                    pc.two_qubit(topo, a, b);
-                }
-                HighwayEdgeKind::Bridge { via } => {
-                    pc.bridge(topo, a, via, b);
-                }
+            if s.edge_color[i] == color {
+                entangle(pc, topo, layout, a, b);
             }
         }
     }
 
-    // 2-color the claimed tree; measure the color-1 class. On a tree the
-    // color of a node is exactly the parity of its distance from the root,
-    // so the coloring rides the shared stamped-BFS kernel (adjacency lists
-    // in edge order, wrapped as a kernel graph view).
-    for &(a, b) in edges {
-        s.adj[a.index()].push(b);
-        s.adj[b.index()].push(a);
-    }
+    // 2-color the claimed tree by depth parity; measure the odd class.
+    s.walk(n, nodes, edges);
     let root = nodes[0];
-    let mut colored = 0usize;
-    {
-        let GhzScratch {
-            adj, color, bfs, ..
-        } = &mut *s;
-        let tree = AdjacencyView { lists: adj };
-        bfs.run(
-            &tree,
-            root,
-            |_| true,
-            |q, d| {
-                color.insert(q, (d & 1) as u8);
-                colored += 1;
-                BfsControl::Expand
-            },
-        );
-    }
-    assert_eq!(
-        colored,
-        nodes.len(),
-        "claimed edges must connect all claimed nodes"
-    );
 
     // Semantic reading (recorded only when tracing): the trace records the
     // state of the naive cascade — H on the root, then CNOT parent→child
-    // along the claimed tree — not the cluster ops emitted above. Measuring
-    // the color-1 class in the X basis removes those members from that GHZ
-    // state up to one Z correction on a survivor conditioned on the parity
-    // of all outcomes (recorded after the measurement loop below).
+    // along the walk — not the cluster ops emitted above. Measuring the
+    // odd class in the X basis removes those members from that GHZ state
+    // up to one Z correction on a survivor conditioned on the parity of
+    // all outcomes (recorded after the measurement loop below).
     //
     // Known gap: the emitted ops prepare that state only where every
     // measured node has exactly two tree neighbours (the path case the
@@ -269,34 +248,21 @@ pub fn prepare_ghz_with(
     // ops.
     if pc.sem_recording() {
         pc.record_gate1(root, SemGate1::H);
-        let mut seen: HashSet<PhysQubit> = HashSet::from([root]);
-        let mut queue = VecDeque::from([root]);
-        while let Some(q) = queue.pop_front() {
-            for i in 0..s.adj[q.index()].len() {
-                let nb = s.adj[q.index()][i];
-                if seen.insert(nb) {
-                    pc.record_gate2(SemGate2::Cnot, q, nb);
-                    queue.push_back(nb);
-                }
-            }
+        for &(parent, child) in &s.tree {
+            pc.record_gate2(SemGate2::Cnot, parent, child);
         }
     }
 
     let mut live: Vec<PhysQubit> = Vec::new();
     for &q in nodes {
-        if s.color.get(q) == Some(1) {
+        if s.odd(q) {
             s.to_measure.push(q);
         } else {
             live.push(q);
         }
     }
-    // Degenerate case: a 2-node path measures one end; keep at least one.
-    if live.is_empty() {
-        live.push(s.to_measure.pop().expect("nonempty"));
-    }
 
     let mut outcome_time = 0u64;
-    let mut measured = Vec::new();
     let mut prep_slots: Vec<u32> = Vec::new();
     for i in 0..s.to_measure.len() {
         let q = s.to_measure[i];
@@ -314,12 +280,10 @@ pub fn prepare_ghz_with(
             // Re-entangle from the nearest live neighbor.
             let nb = s.adj[q.index()]
                 .iter()
-                .find(|n| s.color.get(**n) == Some(0))
                 .copied()
+                .find(|&nb| !s.odd(nb))
                 .expect("a measured qubit always has a live neighbor in the tree");
             s.reentangle.push((nb, q));
-        } else {
-            measured.push(q);
         }
     }
 
@@ -334,38 +298,22 @@ pub fn prepare_ghz_with(
         pc.advance(q, outcome_time);
         pc.one_qubit(q); // correction (free)
     }
-    for i in 0..s.reentangle.len() {
-        let (nb, q) = s.reentangle[i];
+    // Re-entanglement uses the same mechanism as the edge that connects
+    // the pair: direct/cross CNOT or a bridge through the interval.
+    for &(nb, q) in &s.reentangle {
         pc.advance(q, outcome_time);
-        // Re-entanglement uses the same mechanism as the edge that connects
-        // the pair: direct/cross CNOT or a bridge through the interval.
-        let edge = layout
-            .edge_between(nb, q)
-            .expect("re-entangle pair is a highway edge");
         pc.record_gate2(SemGate2::Cnot, nb, q);
-        match edge.kind {
-            HighwayEdgeKind::Direct | HighwayEdgeKind::Cross => {
-                pc.two_qubit(topo, nb, q);
-            }
-            HighwayEdgeKind::Bridge { via } => {
-                pc.bridge(topo, nb, via, q);
-            }
-        }
+        entangle(pc, topo, layout, nb, q);
         live.push(q);
     }
-
-    let ready_at = live.iter().map(|&q| pc.time(q)).max().unwrap_or(0);
-    GhzPrep {
-        live,
-        measured,
-        ready_at,
-    }
+    live
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use mech_chiplet::{ChipletSpec, CostModel};
+    use std::collections::{HashMap, HashSet, VecDeque};
 
     /// [`prepare_ghz_with`] on a fresh scratch.
     fn prepare_ghz(
@@ -375,7 +323,7 @@ mod tests {
         nodes: &[PhysQubit],
         edges: &[(PhysQubit, PhysQubit)],
         entrances: &impl QubitSet,
-    ) -> GhzPrep {
+    ) -> Vec<PhysQubit> {
         prepare_ghz_with(
             pc,
             topo,
@@ -387,6 +335,11 @@ mod tests {
         )
     }
 
+    /// When the GHZ state is ready on every live qubit.
+    fn ready_at(pc: &PhysCircuit, live: &[PhysQubit]) -> u64 {
+        live.iter().map(|&q| pc.time(q)).max().unwrap_or(0)
+    }
+
     fn setup() -> (Topology, HighwayLayout) {
         let topo = ChipletSpec::square(7, 1, 2).build();
         let hw = HighwayLayout::generate(&topo, 1);
@@ -396,7 +349,6 @@ mod tests {
     /// Claims a chain of up to `k` highway nodes along a real route between
     /// two far-apart highway qubits.
     fn chain(hw: &HighwayLayout, k: usize) -> (Vec<PhysQubit>, Vec<(PhysQubit, PhysQubit)>) {
-        use std::collections::VecDeque;
         // BFS over the highway graph from nodes[0] to find a long shortest
         // path, then truncate to k nodes.
         let start = hw.nodes()[0];
@@ -430,8 +382,8 @@ mod tests {
     fn single_node_ghz_is_trivial() {
         let (topo, hw) = setup();
         let mut pc = PhysCircuit::new(topo.num_qubits(), CostModel::default());
-        let prep = prepare_ghz(&mut pc, &topo, &hw, &[hw.nodes()[0]], &[], &HashSet::new());
-        assert_eq!(prep.live.len(), 1);
+        let live = prepare_ghz(&mut pc, &topo, &hw, &[hw.nodes()[0]], &[], &HashSet::new());
+        assert_eq!(live.len(), 1);
         assert_eq!(pc.counts().measurements, 0);
     }
 
@@ -441,9 +393,10 @@ mod tests {
         let (nodes, edges) = chain(&hw, 8);
         assert!(nodes.len() >= 6, "chain too short: {}", nodes.len());
         let mut pc = PhysCircuit::new(topo.num_qubits(), CostModel::default());
-        let prep = prepare_ghz(&mut pc, &topo, &hw, &nodes, &edges, &HashSet::new());
-        assert_eq!(prep.live.len() + prep.measured.len(), nodes.len());
-        let diff = prep.live.len().abs_diff(prep.measured.len());
+        let live = prepare_ghz(&mut pc, &topo, &hw, &nodes, &edges, &HashSet::new());
+        let measured = pc.counts().measurements as usize;
+        assert_eq!(live.len() + measured, nodes.len());
+        let diff = live.len().abs_diff(measured);
         assert!(diff <= 1, "live/measured imbalance: {diff}");
     }
 
@@ -452,20 +405,19 @@ mod tests {
         let (topo, hw) = setup();
         let (nodes_a, edges_a) = chain(&hw, 4);
         let mut pc_a = PhysCircuit::new(topo.num_qubits(), CostModel::default());
-        let prep_a = prepare_ghz(&mut pc_a, &topo, &hw, &nodes_a, &edges_a, &HashSet::new());
+        let live_a = prepare_ghz(&mut pc_a, &topo, &hw, &nodes_a, &edges_a, &HashSet::new());
 
         let (nodes_b, edges_b) = chain(&hw, 12);
         assert!(nodes_b.len() > nodes_a.len());
         let mut pc_b = PhysCircuit::new(topo.num_qubits(), CostModel::default());
-        let prep_b = prepare_ghz(&mut pc_b, &topo, &hw, &nodes_b, &edges_b, &HashSet::new());
+        let live_b = prepare_ghz(&mut pc_b, &topo, &hw, &nodes_b, &edges_b, &HashSet::new());
 
         // Tripling the chain length may add at most a small constant:
         // bridges serialize only locally.
+        let (ready_a, ready_b) = (ready_at(&pc_a, &live_a), ready_at(&pc_b, &live_b));
         assert!(
-            prep_b.ready_at <= prep_a.ready_at + 10,
-            "prep depth grew with length: {} vs {}",
-            prep_a.ready_at,
-            prep_b.ready_at
+            ready_b <= ready_a + 10,
+            "prep depth grew with length: {ready_a} vs {ready_b}"
         );
     }
 
@@ -475,10 +427,9 @@ mod tests {
         let (nodes, edges) = chain(&hw, 6);
         let entrances: HashSet<PhysQubit> = nodes.iter().copied().collect();
         let mut pc = PhysCircuit::new(topo.num_qubits(), CostModel::default());
-        let prep = prepare_ghz(&mut pc, &topo, &hw, &nodes, &edges, &entrances);
+        let live = prepare_ghz(&mut pc, &topo, &hw, &nodes, &edges, &entrances);
         // With every node an entrance, all stay live.
-        assert_eq!(prep.live.len(), nodes.len());
-        assert!(prep.measured.is_empty());
+        assert_eq!(live.len(), nodes.len());
     }
 
     #[test]
@@ -486,8 +437,8 @@ mod tests {
         let (topo, hw) = setup();
         let (nodes, edges) = chain(&hw, 6);
         let mut pc = PhysCircuit::new(topo.num_qubits(), CostModel::default());
-        let prep = prepare_ghz(&mut pc, &topo, &hw, &nodes, &edges, &HashSet::new());
-        let min_live_time = prep.live.iter().map(|&q| pc.time(q)).min().unwrap();
+        let live = prepare_ghz(&mut pc, &topo, &hw, &nodes, &edges, &HashSet::new());
+        let min_live_time = live.iter().map(|&q| pc.time(q)).min().unwrap();
         let max_outcome = pc
             .ops()
             .iter()
@@ -543,9 +494,15 @@ mod tests {
             }
         }
         let mut pc = PhysCircuit::new(topo.num_qubits(), CostModel::default());
-        let prep = prepare_ghz_chain(&mut pc, &topo, &hw, &seen, &edges);
-        assert_eq!(prep.live.len(), seen.len());
-        assert!(prep.measured.is_empty());
+        let live = prepare_ghz_chain(
+            &mut pc,
+            &topo,
+            &hw,
+            &seen,
+            &edges,
+            &mut GhzScratch::default(),
+        );
+        assert_eq!(live, seen);
         assert_eq!(pc.counts().measurements, 0);
     }
 
@@ -560,10 +517,11 @@ mod tests {
             let (nodes, edges) = chain(&hw, k);
             assert!(nodes.len() >= k, "need a path of {k} nodes");
             let mut pc_chain = PhysCircuit::new(topo.num_qubits(), CostModel::default());
-            let chain = prepare_ghz_chain(&mut pc_chain, &topo, &hw, &nodes, &edges);
+            let mut s = GhzScratch::default();
+            let chain = prepare_ghz_chain(&mut pc_chain, &topo, &hw, &nodes, &edges, &mut s);
             let mut pc_mb = PhysCircuit::new(topo.num_qubits(), CostModel::default());
             let mb = prepare_ghz(&mut pc_mb, &topo, &hw, &nodes, &edges, &HashSet::new());
-            (chain.ready_at, mb.ready_at)
+            (ready_at(&pc_chain, &chain), ready_at(&pc_mb, &mb))
         };
         let (chain_short, mb_short) = prep_depths(5);
         let (chain_long, mb_long) = prep_depths(16);

@@ -27,7 +27,7 @@ mod shuttle;
 mod skeleton;
 
 pub use entrance::{entrance_candidates, entrance_search_count, EntranceOption, EntranceTable};
-pub use ghz::{prepare_ghz_chain, prepare_ghz_with, GhzPrep, GhzScratch};
+pub use ghz::{prepare_ghz_chain, prepare_ghz_with, GhzScratch};
 pub use occupancy::{GroupId, HighwayOccupancy, RouteError};
 pub use shuttle::{
     ActiveGroup, PinnedView, PinnedViewExcluding, ShuttleRecord, ShuttleState, ShuttleStats,

@@ -107,8 +107,6 @@ struct GroupClaim {
 pub struct HighwayOccupancy {
     owner: Vec<Option<GroupId>>,
     groups: HashMap<GroupId, GroupClaim>,
-    /// Groups holding resources, kept sorted incrementally.
-    active: Vec<GroupId>,
     /// Number of currently claimed qubits, maintained incrementally.
     claimed: usize,
     /// Recycled claim buffers (released groups return here).
@@ -145,7 +143,6 @@ impl HighwayOccupancy {
         HighwayOccupancy {
             owner: vec![None; skeleton.num_qubits()],
             groups: HashMap::new(),
-            active: Vec::new(),
             claimed: 0,
             claim_pool: Vec::new(),
             edge_seen: vec![0; skeleton.csr().num_edges()],
@@ -186,12 +183,6 @@ impl HighwayOccupancy {
     /// The highway edges traversed by `g`'s routes.
     pub fn edges_of(&self, g: GroupId) -> &[(PhysQubit, PhysQubit)] {
         self.groups.get(&g).map_or(&[], |c| c.edges.as_slice())
-    }
-
-    /// All groups holding resources, ascending (maintained incrementally;
-    /// no allocation or sort per call).
-    pub fn active_groups(&self) -> &[GroupId] {
-        &self.active
     }
 
     /// Full claim-engine searches run so far (diagnostic; monotone over the
@@ -383,11 +374,6 @@ impl HighwayOccupancy {
             claim.stamp = self.next_stamp;
             self.next_stamp += 1;
             self.groups.insert(g, claim);
-            let pos = self
-                .active
-                .binary_search(&g)
-                .expect_err("group cannot be active without resources");
-            self.active.insert(pos, g);
         }
         let Self {
             owner,
@@ -447,9 +433,6 @@ impl HighwayOccupancy {
             claim.nodes.clear();
             claim.edges.clear();
             self.claim_pool.push(claim);
-            if let Ok(pos) = self.active.binary_search(&g) {
-                self.active.remove(pos);
-            }
             // Weights rise for `g` and fall for every other group; a
             // repair absorbs only `g`'s own decreases, so start afresh.
             self.search_key = None;
@@ -458,7 +441,7 @@ impl HighwayOccupancy {
 
     /// Releases everything (end of shuttle).
     pub fn release_all(&mut self) {
-        if self.active.is_empty() {
+        if self.groups.is_empty() {
             return;
         }
         self.owner.iter_mut().for_each(|o| *o = None);
@@ -468,7 +451,6 @@ impl HighwayOccupancy {
             claim.edges.clear();
             self.claim_pool.push(claim);
         }
-        self.active.clear();
         self.search_key = None;
     }
 
@@ -573,8 +555,9 @@ mod tests {
             .highway_neighbors(b)
             .next()
             .expect("far node has a neighbor");
-        occ.claim_route(b, b2, GroupId(1)).unwrap();
-        assert_eq!(occ.active_groups(), vec![GroupId(0), GroupId(1)]);
+        let path = occ.claim_route(b, b2, GroupId(1)).unwrap();
+        assert_eq!(occ.nodes_of(GroupId(0)), [a, a2]);
+        assert_eq!(occ.nodes_of(GroupId(1)), path);
     }
 
     #[test]
@@ -597,7 +580,7 @@ mod tests {
         occ.claim_route(a, b, GroupId(0)).unwrap();
         occ.release_all();
         assert_eq!(occ.claimed_count(), 0);
-        assert!(occ.active_groups().is_empty());
+        assert!(occ.nodes_of(GroupId(0)).is_empty());
         occ.claim_route(a, b, GroupId(1)).unwrap();
     }
 
@@ -613,8 +596,9 @@ mod tests {
             Err(RouteError::Congested)
         );
         occ.release(GroupId(0));
-        occ.claim_route(a, b, GroupId(1)).unwrap();
-        assert_eq!(occ.active_groups(), vec![GroupId(1)]);
+        let path = occ.claim_route(a, b, GroupId(1)).unwrap();
+        assert!(occ.nodes_of(GroupId(0)).is_empty());
+        assert_eq!(occ.nodes_of(GroupId(1)), path);
     }
 
     #[test]

@@ -362,7 +362,7 @@ mod tests {
         let entrances: HashSet<PhysQubit> = path.iter().copied().collect();
         let nodes = st.occupancy.nodes_of(gid).to_vec();
         let edges = st.occupancy.edges_of(gid).to_vec();
-        let prep = prepare_ghz_with(
+        let live = prepare_ghz_with(
             pc,
             topo,
             hw,
@@ -384,9 +384,9 @@ mod tests {
                 hub_data,
                 conjugated: false,
             },
-            prep.live.clone(),
+            live.clone(),
         );
-        (gid, prep.live)
+        (gid, live)
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The immutable routing skeleton of one device's highway.
 //!
 //! [`HighwaySkeleton`] is everything the claim engine derives from a
-//! [`HighwayLayout`] that does not change per compilation: the flat CSR
-//! copy of the highway graph (kernel-layer [`CsrGraph`]: sorted rows plus
+//! [`HighwayLayout`] that does not change per compilation: a clone of the
+//! layout's highway graph (kernel-layer [`CsrGraph`]: sorted rows plus
 //! edge-id lookup), the highway-membership mask, and the Dial bucket
 //! bound. It is `Send + Sync` and is meant to be built once per device
 //! and shared across concurrent
@@ -10,13 +10,13 @@
 //! mutable claim state stays per-occupancy, the graph is read-only for its
 //! whole life.
 
-use mech_chiplet::{CsrGraph, HighwayLayout, PhysQubit};
+use mech_chiplet::{CsrGraph, HighwayLayout, PhysQubit, RoutingGraph};
 
 /// Immutable per-device view of the highway graph shared by every
 /// occupancy table compiled against the same device.
 #[derive(Debug)]
 pub struct HighwaySkeleton {
-    /// Flat CSR view of the layout's highway graph.
+    /// The layout's highway graph.
     graph: CsrGraph,
     /// `is_highway[q]` = `q` is a highway node of the source layout.
     is_highway: Vec<bool>,
@@ -29,14 +29,13 @@ impl HighwaySkeleton {
     /// Builds the skeleton for a device with `num_qubits` physical qubits
     /// from its highway layout.
     pub fn build(num_qubits: usize, layout: &HighwayLayout) -> Self {
-        let endpoints: Vec<(PhysQubit, PhysQubit)> =
-            layout.edges().iter().map(|e| (e.a, e.b)).collect();
+        debug_assert_eq!(layout.graph().num_nodes(), num_qubits);
         let mut is_highway = vec![false; num_qubits];
         for &q in layout.nodes() {
             is_highway[q.index()] = true;
         }
         HighwaySkeleton {
-            graph: CsrGraph::from_edges(num_qubits, &endpoints),
+            graph: layout.graph().clone(),
             is_highway,
             dial_levels: layout.nodes().len() + 1,
         }

@@ -201,10 +201,10 @@ fn decode(kind: u8, g: u8, a: u16, b: u16) -> Op {
     }
 }
 
-/// Asserts that engine and oracle hold identical bookkeeping.
+/// Asserts that engine and oracle hold identical bookkeeping for every
+/// group id below `groups` (every id the run uses).
 fn assert_same_books(engine: &HighwayOccupancy, oracle: &Oracle, groups: u32) {
     prop_assert_eq!(engine.claimed_count(), oracle.claimed_count());
-    prop_assert_eq!(engine.active_groups(), oracle.active_groups());
     for gid in 0..groups {
         let g = GroupId(gid);
         prop_assert_eq!(engine.nodes_of(g), oracle.nodes_of(g));
@@ -217,7 +217,7 @@ proptest! {
 
     /// Under random claim/release churn, the one-search engine returns
     /// exactly the paths and errors of the per-candidate Dijkstra and keeps
-    /// identical bookkeeping (nodes, edges, counters, active groups).
+    /// identical bookkeeping (nodes, edges, counters).
     #[test]
     fn claim_engine_matches_per_candidate_dijkstra(
         d in 5u32..8,

@@ -298,7 +298,7 @@ fn a_multi_qubit_highway_run_beside_a_boxed_in_qubit_still_routes() {
 /// and each labelled with the ROADMAP item that owns its fix. The sweep
 /// asserts that its failing set *equals* this list: a new miscompile fails
 /// it, and so does a fixed one until its entry is deleted here.
-const KNOWN_SMALL_DEVICE_MISCOMPILES: [(usize, &str, &str, u32, &str); 91] = [
+const KNOWN_SMALL_DEVICE_MISCOMPILES: [(usize, &str, &str, u32, &str); 151] = [
     (2, "square(6,2,2)", "bv", 14, "ROADMAP item 1"),
     (2, "square(6,2,2)", "bv", 20, "ROADMAP item 1"),
     (2, "square(6,2,2)", "bv", 36, "ROADMAP item 1"),
@@ -516,15 +516,178 @@ const KNOWN_SMALL_DEVICE_MISCOMPILES: [(usize, &str, &str, u32, &str); 91] = [
         142,
         "ROADMAP item 1",
     ),
+    (3, "heavy-hexagon(7,3,3)", "bv", 17, "ROADMAP item 1"),
+    (3, "heavy-hexagon(7,3,3)", "bv", 18, "ROADMAP item 1"),
+    (3, "heavy-hexagon(7,3,3)", "bv", 27, "ROADMAP item 1"),
+    (3, "heavy-hexagon(7,3,3)", "bv", 43, "ROADMAP item 1"),
+    (3, "heavy-hexagon(7,3,3)", "bv", 51, "ROADMAP item 1"),
+    (3, "heavy-hexagon(7,3,3)", "bv", 57, "ROADMAP item 1"),
+    (3, "heavy-hexagon(7,3,3)", "bv", 62, "ROADMAP item 1"),
+    (3, "heavy-hexagon(7,3,3)", "bv", 63, "ROADMAP item 1"),
+    (3, "heavy-hexagon(7,3,3)", "bv", 68, "ROADMAP item 1"),
+    (3, "heavy-hexagon(7,3,3)", "bv", 69, "ROADMAP item 1"),
+    (3, "heavy-hexagon(7,3,3)", "bv", 74, "ROADMAP item 1"),
+    (3, "heavy-hexagon(7,3,3)", "bv", 75, "ROADMAP item 1"),
+    (3, "heavy-hexagon(7,3,3)", "bv", 80, "ROADMAP item 1"),
+    (3, "heavy-hexagon(7,3,3)", "bv", 81, "ROADMAP item 1"),
+    (3, "heavy-hexagon(7,3,3)", "bv", 90, "ROADMAP item 1"),
+    (3, "heavy-hexagon(7,3,3)", "bv", 92, "ROADMAP item 1"),
+    (3, "heavy-hexagon(7,3,3)", "bv", 96, "ROADMAP item 1"),
+    (3, "heavy-hexagon(7,3,3)", "bv", 98, "ROADMAP item 1"),
+    (3, "heavy-hexagon(7,3,3)", "bv", 102, "ROADMAP item 1"),
+    (3, "heavy-hexagon(7,3,3)", "bv", 106, "ROADMAP item 1"),
+    (3, "heavy-hexagon(7,3,3)", "bv", 113, "ROADMAP item 1"),
+    (3, "heavy-hexagon(7,3,3)", "bv", 114, "ROADMAP item 1"),
+    (3, "heavy-hexagon(7,3,3)", "bv", 119, "ROADMAP item 1"),
+    (3, "heavy-hexagon(7,3,3)", "bv", 120, "ROADMAP item 1"),
+    (3, "heavy-hexagon(7,3,3)", "bv", 125, "ROADMAP item 1"),
+    (3, "heavy-hexagon(7,3,3)", "bv", 126, "ROADMAP item 1"),
+    (3, "heavy-hexagon(7,3,3)", "bv", 131, "ROADMAP item 1"),
+    (3, "heavy-hexagon(7,3,3)", "bv", 132, "ROADMAP item 1"),
+    (3, "heavy-hexagon(7,3,3)", "bv", 137, "ROADMAP item 1"),
+    (3, "heavy-hexagon(7,3,3)", "bv", 138, "ROADMAP item 1"),
+    (3, "heavy-hexagon(7,3,3)", "bv", 143, "ROADMAP item 1"),
+    (3, "heavy-hexagon(7,3,3)", "bv", 144, "ROADMAP item 1"),
+    (3, "heavy-hexagon(7,3,3)", "bv", 152, "ROADMAP item 1"),
+    (3, "heavy-hexagon(7,3,3)", "bv", 153, "ROADMAP item 1"),
+    (3, "heavy-hexagon(7,3,3)", "bv", 155, "ROADMAP item 1"),
+    (3, "heavy-hexagon(7,3,3)", "bv", 159, "ROADMAP item 1"),
+    (3, "heavy-hexagon(7,3,3)", "bv", 161, "ROADMAP item 1"),
+    (3, "heavy-hexagon(7,3,3)", "bv", 165, "ROADMAP item 1"),
+    (3, "heavy-hexagon(7,3,3)", "bv", 169, "ROADMAP item 1"),
+    (3, "heavy-hexagon(7,3,3)", "bv", 176, "ROADMAP item 1"),
+    (3, "heavy-hexagon(7,3,3)", "bv", 177, "ROADMAP item 1"),
+    (3, "heavy-hexagon(7,3,3)", "bv", 183, "ROADMAP item 1"),
+    (3, "heavy-hexagon(7,3,3)", "bv", 189, "ROADMAP item 1"),
+    (
+        3,
+        "heavy-hexagon(7,3,3)",
+        "rand-clifford",
+        40,
+        "ROADMAP item 1",
+    ),
+    (
+        3,
+        "heavy-hexagon(7,3,3)",
+        "rand-clifford",
+        45,
+        "ROADMAP item 1",
+    ),
+    (
+        3,
+        "heavy-hexagon(7,3,3)",
+        "rand-clifford",
+        49,
+        "ROADMAP item 1",
+    ),
+    (
+        3,
+        "heavy-hexagon(7,3,3)",
+        "rand-clifford",
+        77,
+        "ROADMAP item 1",
+    ),
+    (
+        3,
+        "heavy-hexagon(7,3,3)",
+        "rand-clifford",
+        111,
+        "ROADMAP item 1",
+    ),
+    (
+        3,
+        "heavy-hexagon(7,3,3)",
+        "rand-clifford",
+        113,
+        "ROADMAP item 1",
+    ),
+    (
+        3,
+        "heavy-hexagon(7,3,3)",
+        "rand-clifford",
+        115,
+        "ROADMAP item 1",
+    ),
+    (
+        3,
+        "heavy-hexagon(7,3,3)",
+        "rand-clifford",
+        129,
+        "ROADMAP item 1",
+    ),
+    (
+        3,
+        "heavy-hexagon(7,3,3)",
+        "rand-clifford",
+        130,
+        "ROADMAP item 1",
+    ),
+    (
+        3,
+        "heavy-hexagon(7,3,3)",
+        "rand-clifford",
+        133,
+        "ROADMAP item 1",
+    ),
+    (
+        3,
+        "heavy-hexagon(7,3,3)",
+        "rand-clifford",
+        134,
+        "ROADMAP item 1",
+    ),
+    (
+        3,
+        "heavy-hexagon(7,3,3)",
+        "rand-clifford",
+        136,
+        "ROADMAP item 1",
+    ),
+    (
+        3,
+        "heavy-hexagon(7,3,3)",
+        "rand-clifford",
+        138,
+        "ROADMAP item 1",
+    ),
+    (
+        3,
+        "heavy-hexagon(7,3,3)",
+        "rand-clifford",
+        149,
+        "ROADMAP item 1",
+    ),
+    (
+        3,
+        "heavy-hexagon(7,3,3)",
+        "rand-clifford",
+        167,
+        "ROADMAP item 1",
+    ),
+    (
+        3,
+        "heavy-hexagon(7,3,3)",
+        "rand-clifford",
+        170,
+        "ROADMAP item 1",
+    ),
+    (
+        3,
+        "heavy-hexagon(7,3,3)",
+        "rand-clifford",
+        178,
+        "ROADMAP item 1",
+    ),
 ];
 
 /// Every Clifford family at every width from 2 to the data-qubit count:
 /// on three small square devices at the default aggregation threshold (3)
 /// and at 2 and 5 (3 × 519 compile + verify pairs), on the hexagon,
 /// heavy-square and heavy-hexagon `(6, 2, 2)` devices at 3 (621 pairs),
-/// and on the heavy-square `(8, 2, 2)` recalibration device at 3 (441
-/// pairs). Never shrink the sweep to drop a failing width; update the
-/// known list instead.
+/// on the heavy-square `(8, 2, 2)` recalibration device at 3 (441 pairs)
+/// and on the heavy-hexagon `(7, 3, 3)` device at 3 (564 pairs). Never
+/// shrink the sweep to drop a failing width; update the known list
+/// instead.
 #[test]
 fn small_device_sweep_fails_exactly_the_known_miscompiles() {
     let structure = |s| DeviceSpec::new(ChipletSpec::new(s, 6, 2, 2));
@@ -550,6 +713,11 @@ fn small_device_sweep_fails_exactly_the_known_miscompiles() {
         (
             "heavy-square(8,2,2)",
             DeviceSpec::new(ChipletSpec::new(CouplingStructure::HeavySquare, 8, 2, 2)),
+            &[3],
+        ),
+        (
+            "heavy-hexagon(7,3,3)",
+            DeviceSpec::new(ChipletSpec::new(CouplingStructure::HeavyHexagon, 7, 3, 3)),
             &[3],
         ),
     ];
@@ -580,7 +748,7 @@ fn small_device_sweep_fails_exactly_the_known_miscompiles() {
     }
     assert_eq!(
         cases,
-        3 * 519 + 621 + 441,
+        3 * 519 + 621 + 441 + 564,
         "the sweep covers every family at every width"
     );
     let known: Vec<(usize, &str, &str, u32)> = KNOWN_SMALL_DEVICE_MISCOMPILES
